@@ -58,7 +58,7 @@ func run() error {
 		walBatch   = flag.Int("wal-batch", 0, "durability mode: flush the WAL every N appends in addition to the sync-delay window (0 = time-based only)")
 		dduration  = flag.Duration("dduration", time.Second, "durability mode: wall-clock time per group-commit row")
 		analysis   = flag.Bool("analysis", false, "drive the dense analysis hot path over broker + dispatch lanes and report analyzed msgs/sec")
-		mix        = flag.Bool("mix", false, "drive the MIX weight exchange over a live broker and compare the JSON, binary-full, and binary-delta wire strategies")
+		mix        = flag.Bool("mix", false, "drive the MIX weight exchange over a live broker and compare the binary-full and binary-delta wire strategies")
 		mixRounds  = flag.Int("mixrounds", 300, "mix mode: exchange rounds per strategy")
 		mixFeats   = flag.Int("mixfeatures", 1500, "mix mode: model feature-space size")
 		atopics    = flag.Int("atopics", 4, "analysis mode: subscriptions (dispatch lanes)")

@@ -44,10 +44,10 @@ func mixStream(n, nFeatures int) []mixSample {
 
 // runMix drives the MIX weight-exchange path end to end on the real stack:
 // a trainer model exports each round, the payload crosses a loopback-TCP
-// broker, and a receiving peer decodes and folds it in. The three wire
-// strategies are compared on the same training load — the legacy retained
-// JSON snapshot, the binary codec carrying full state, and the binary
-// delta carrying only the round's updates.
+// broker, and a receiving peer decodes and folds it in. The two wire
+// strategies are compared on the same training load — the binary codec
+// carrying full state, and the binary delta carrying only the round's
+// updates.
 func runMix(cfg mixConfig) error {
 	br := broker.New(broker.Options{})
 	l, err := net.Listen("tcp", "127.0.0.1:0")
@@ -89,10 +89,8 @@ func runMix(cfg mixConfig) error {
 	type mode struct {
 		name  string
 		delta bool // export deltas instead of full state
-		json  bool // legacy JSON snapshot
 	}
 	for _, md := range []mode{
-		{name: "json-full", json: true},
 		{name: "binary-full"},
 		{name: "binary-delta", delta: true},
 	} {
@@ -112,18 +110,11 @@ func runMix(cfg mixConfig) error {
 		done := make(chan struct{}, 1)
 		var rxDelta ml.MixDelta
 		_, _, err = sub.SubscribeHandle(topic, wire.QoS0, func(msg mqttclient.Message) {
-			if md.json {
-				var snap core.MixSnapshot
-				if err := core.DecodeJSON(msg.Payload, &snap); err == nil {
-					receiver.ImportWeights(jsonToWeights(snap.Weights))
-				}
-			} else {
-				if h, err := core.DecodeMix(msg.Payload, syms, &rxDelta); err == nil {
-					if h.Keyframe {
-						receiver.ImportDense(&rxDelta)
-					} else {
-						receiver.ApplyDelta(&rxDelta, 0.5)
-					}
+			if h, err := core.DecodeMix(msg.Payload, syms, &rxDelta); err == nil {
+				if h.Keyframe {
+					receiver.ImportDense(&rxDelta)
+				} else {
+					receiver.ApplyDelta(&rxDelta, 0.5)
 				}
 			}
 			done <- struct{}{}
@@ -150,27 +141,15 @@ func runMix(cfg mixConfig) error {
 			for k := 0; k < trainPerRound; k++ {
 				trainer.Train(s.v, s.label)
 			}
-			var payload []byte
-			switch {
-			case md.json:
-				payload = core.EncodeJSON(core.MixSnapshot{
-					ModuleID: "bench",
-					Weights:  weightsToJSON(trainer.ExportWeights()),
-					At:       time.Now(),
-				})
-			case md.delta:
+			h := core.MixHeader{ModuleID: "bench", Round: uint64(i + 1), Keyframe: !md.delta, At: time.Now()}
+			if md.delta {
 				trainer.ExportDeltaInto(&d)
-				h := core.MixHeader{ModuleID: "bench", Round: uint64(i + 1), At: time.Now()}
-				enc = core.AppendEncodeMix(enc[:0], h, &d, syms)
-				payload = enc
-			default:
+			} else {
 				trainer.ExportDenseInto(&d)
-				h := core.MixHeader{ModuleID: "bench", Round: uint64(i + 1), Keyframe: true, At: time.Now()}
-				enc = core.AppendEncodeMix(enc[:0], h, &d, syms)
-				payload = enc
 			}
-			totalBytes += int64(len(payload))
-			if err := pub.Publish(topic, payload, wire.QoS0, false); err != nil {
+			enc = core.AppendEncodeMix(enc[:0], h, &d, syms)
+			totalBytes += int64(len(enc))
+			if err := pub.Publish(topic, enc, wire.QoS0, false); err != nil {
 				return err
 			}
 			<-done // receiver decoded and imported: round complete
@@ -191,28 +170,4 @@ func runMix(cfg mixConfig) error {
 	fmt.Println("\nbinary-delta ships only the weights each round touched; the")
 	fmt.Println("retained keyframe cadence (ifot-neuron -mix-keyframe) bounds joiner catch-up.")
 	return nil
-}
-
-func weightsToJSON(w map[string]feature.Vector) map[string]map[string]float64 {
-	out := make(map[string]map[string]float64, len(w))
-	for label, vec := range w {
-		m := make(map[string]float64, len(vec))
-		for k, v := range vec {
-			m[k] = v
-		}
-		out[label] = m
-	}
-	return out
-}
-
-func jsonToWeights(w map[string]map[string]float64) map[string]feature.Vector {
-	out := make(map[string]feature.Vector, len(w))
-	for label, m := range w {
-		vec := make(feature.Vector, len(m))
-		for k, v := range m {
-			vec[k] = v
-		}
-		out[label] = vec
-	}
-	return out
 }

@@ -63,9 +63,11 @@ const benchWindow = 1024
 
 // BenchmarkPublishFanout measures the broker's publish hot path: one
 // publisher injecting QoS0 messages that fan out to N TCP subscribers.
-// msgs/sec counts routed deliveries; drops/op should stay at zero.
+// msgs/sec counts routed deliveries; drops/op should stay at zero. The
+// 256 and 1024 rows are the wide fan-out evidence behind serial delivery
+// (docs/performance.md).
 func BenchmarkPublishFanout(b *testing.B) {
-	for _, subs := range []int{1, 8, 64} {
+	for _, subs := range []int{1, 8, 64, 256, 1024} {
 		b.Run(fmt.Sprintf("subs=%d", subs), func(b *testing.B) {
 			br, addr := startBenchBroker(b, Options{SessionQueueSize: 8192})
 			for i := 0; i < subs; i++ {

@@ -11,7 +11,6 @@ import (
 	"fmt"
 	"log"
 	"net"
-	"runtime"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -107,8 +106,8 @@ type retainedMsg struct {
 // per-shard atomic adds, see gate.go), loads the current immutable
 // routeTable snapshot, and routes through the epoch-keyed route cache or
 // the zero-alloc snapshot matcher (routes.go). Subscribe, unsubscribe, and
-// session churn mutate the builder trie under mu, build a fresh snapshot,
-// and swap it in under the gate's writer fence.
+// session churn derive the next snapshot from the current one under mu
+// (path copying) and swap it in under the gate's writer fence.
 //
 // The store+route atomicity invariant for retained messages (see publish)
 // is preserved because the gate writer excludes every in-flight publish
@@ -116,13 +115,12 @@ type retainedMsg struct {
 // used to provide: a subscriber registering inside the fence observes each
 // concurrent publish either entirely (retained stored AND fanned out) or
 // not at all. The fence covers only the snapshot swap and retained replay;
-// snapshot *rebuilding* happens outside it, so publishes keep flowing
-// while a large trie is copied. The gate parks new readers while a writer
-// drains, so subscribes cannot starve under publish load.
+// deriving the next snapshot happens outside it, so publishes keep
+// flowing meanwhile. The gate parks new readers while a writer drains, so
+// subscribes cannot starve under publish load.
 //
-// Lock order: mu ⊃ gate ⊃ {retainedMu, session.mu}; trie.mu and pubMu are
-// leaf locks never taken by the publish path (a cached publish touches
-// neither). Counters (received, delivered, retained count, per-topic
+// Lock order: mu ⊃ gate ⊃ {retainedMu, session.mu}; pubMu is a leaf lock
+// that the publish path takes only on a route-cache miss. Counters (received, delivered, retained count, per-topic
 // accounting) are atomics so neither the publish path nor the
 // per-connection writer goroutines ever take mu.
 type Broker struct {
@@ -138,10 +136,9 @@ type Broker struct {
 	// gate fences publish read sections against route-snapshot swaps and
 	// retained replay; routes holds the current immutable snapshot and
 	// rcache the per-topic, epoch-keyed route memo (see routes.go).
-	gate       *epochGate
-	routes     atomic.Pointer[routeTable]
-	routeEpoch atomic.Uint64
-	rcache     routeCache
+	gate   *epochGate
+	routes atomic.Pointer[routeTable]
+	rcache routeCache
 
 	// retainedMu guards the retained map. Publishes mutate it while
 	// holding only a gate read section, so map access needs this inner
@@ -162,12 +159,6 @@ type Broker struct {
 	// every undelivered match.
 	routeDropped atomic.Int64
 
-	// fanoutQ feeds oversized subscriber sets to the fan-out helper pool;
-	// nil when the pool is disabled (single-proc hosts). fanoutStop ends
-	// the helpers at Close.
-	fanoutQ    chan *fanoutJob
-	fanoutStop chan struct{}
-
 	// anonSeq feeds generated client IDs for anonymous clean-session
 	// connects. A monotonic counter cannot collide (unlike the previous
 	// pointer-formatted IDs, which could recur after allocator reuse and
@@ -182,7 +173,6 @@ type Broker struct {
 	pubMu      sync.RWMutex
 	pubByTopic map[string]*topicCount
 
-	trie    *subTrie
 	wg      sync.WaitGroup
 	metrics *brokerMetrics
 
@@ -233,9 +223,11 @@ func Open(opts Options) (*Broker, error) {
 		conns:      make(map[string]net.Conn),
 		retained:   make(map[string]retainedMsg),
 		pubByTopic: make(map[string]*topicCount),
-		trie:       newSubTrie(),
 		gate:       newEpochGate(),
 	}
+	// The route snapshot exists before recovery re-subscribes persistent
+	// sessions and before a connection or internal publisher can route.
+	b.routes.Store(newRouteTable())
 	if b.opts.Registry != nil {
 		b.metrics = newBrokerMetrics(b.opts.Registry, b)
 	}
@@ -247,11 +239,7 @@ func Open(opts Options) (*Broker, error) {
 		b.persist.journal = store.NewJournal(st, b.captureState, b.opts.SnapshotBytes, b.opts.Logger)
 		b.persist.journal.SetEvents(b.opts.Events)
 	}
-	// Publish the initial route snapshot (covering any recovered
-	// subscriptions) before a connection or internal publisher can route.
-	b.routes.Store(b.trie.build(b.routeEpoch.Add(1)))
 	b.retainedCount.Store(int64(len(b.retained)))
-	b.startFanoutHelpers(fanoutHelperCount())
 	return b, nil
 }
 
@@ -360,11 +348,6 @@ func (b *Broker) Close() error {
 		_ = c.Close()
 	}
 	b.wg.Wait()
-	if b.fanoutStop != nil {
-		// Helpers only park between jobs, and a claimed chunk always runs
-		// to completion, so stopping them cannot strand a publish.
-		close(b.fanoutStop)
-	}
 	if b.persist != nil {
 		// Stop the snapshot goroutine. The store itself (and its final
 		// flush/fsync) belongs to whoever opened it.
@@ -554,11 +537,7 @@ func (b *Broker) registerSession(connect *wire.ConnectPacket, conn net.Conn) (*s
 	sessionPresent := false
 	if connect.CleanSession || !existed {
 		if existed {
-			if b.trie.removeAll(connect.ClientID) {
-				// The discarded session's filters left the builder trie;
-				// retire them from the published snapshot too.
-				b.swapRoutesLocked()
-			}
+			b.dropRoutesLocked(sess)
 			if sess.persistent {
 				// A formerly durable session is being discarded.
 				b.persistSessionRemove(connect.ClientID)
@@ -587,22 +566,41 @@ func (b *Broker) unregisterConn(sess *session, conn net.Conn, gen uint64) {
 		delete(b.conns, sess.clientID)
 		if !sess.persistent {
 			delete(b.sessions, sess.clientID)
-			if b.trie.removeAll(sess.clientID) {
-				b.swapRoutesLocked()
-			}
+			b.dropRoutesLocked(sess)
 		}
 	}
 }
 
-// swapRoutesLocked rebuilds the route snapshot from the builder trie and
-// publishes it under the gate fence. Callers hold b.mu. The rebuild runs
-// outside the fence — publishes flow (against the old snapshot) while the
-// copy is made; only the pointer swap excludes them.
-func (b *Broker) swapRoutesLocked() {
-	tbl := b.trie.build(b.routeEpoch.Add(1))
+// swapRoutesLocked publishes tbl under the gate fence. Callers hold b.mu
+// and derived tbl from the current snapshot outside the fence, so
+// publishes flowed (against the old snapshot) meanwhile; only the pointer
+// swap excludes them.
+func (b *Broker) swapRoutesLocked(tbl *routeTable) {
 	b.gate.lock()
 	b.routes.Store(tbl)
 	b.gate.unlock()
+}
+
+// dropRoutesLocked retires every filter sess holds from the route
+// snapshot. Callers hold b.mu.
+func (b *Broker) dropRoutesLocked(sess *session) {
+	if tbl, removed := withoutSession(b.routes.Load(), sess); removed {
+		b.swapRoutesLocked(tbl)
+	}
+}
+
+// withoutSession returns tbl without any of the filters sess holds
+// (session.subscriptions mirrors the session's routes), and whether any
+// was removed.
+func withoutSession(tbl *routeTable, sess *session) (*routeTable, bool) {
+	removed := false
+	for f := range sess.subscriptionList() {
+		var ok bool
+		if tbl, ok = tbl.unsubscribe(f, sess.clientID); ok {
+			removed = true
+		}
+	}
+	return tbl, removed
 }
 
 // readLoop processes inbound packets until the connection ends. It reports
@@ -700,8 +698,7 @@ func (b *Broker) Publish(topic string, payload []byte, qos wire.QoS, retain bool
 // Deliveries whose effective QoS is 0 — the identical frame for every such
 // subscriber — share one pre-encoded byte slice instead of per-subscriber
 // packet allocation and re-encoding. QoS1 deliveries still carry a packet
-// per subscriber, since each session assigns its own packet ID. Subscriber
-// sets above fanoutThreshold are split across the fan-out helper pool.
+// per subscriber, since each session assigns its own packet ID.
 func (b *Broker) publish(p *wire.PublishPacket, fromClientID string) {
 	_ = fromClientID // brokers may loop messages back to the publisher; MQTT allows it
 	sh := b.gate.enter()
@@ -754,8 +751,6 @@ func (b *Broker) publish(p *wire.PublishPacket, fromClientID string) {
 		// them all as dropped.
 		droppedHere = int64(len(subs))
 		b.routeDropped.Add(droppedHere)
-	case len(subs) >= fanoutThreshold && b.fanoutQ != nil:
-		droppedHere = b.fanoutParallel(p, subs)
 	default:
 		droppedHere = b.fanoutSerial(p, subs)
 	}
@@ -801,144 +796,6 @@ func (b *Broker) fanoutSerial(p *wire.PublishPacket, subs []routeSub) int64 {
 		}
 	}
 	return dropped
-}
-
-// --- parallel fan-out ---
-
-const (
-	// fanoutThreshold is the subscriber-set size above which one publish is
-	// split across the helper pool instead of serialized on the publisher.
-	fanoutThreshold = 256
-	// fanoutChunk is the unit of work helpers claim from a job.
-	fanoutChunk = 64
-	// maxFanoutHelpers bounds the helper pool; fan-out is queue inserts,
-	// not computation, so a few helpers saturate the memory system.
-	maxFanoutHelpers = 4
-)
-
-// fanoutHelperCount sizes the pool: leave the publisher its own proc, and
-// don't bother on single-proc hosts where helpers would only timeshare.
-func fanoutHelperCount() int {
-	n := runtime.GOMAXPROCS(0) - 1
-	if n > maxFanoutHelpers {
-		n = maxFanoutHelpers
-	}
-	if n < 0 {
-		n = 0
-	}
-	return n
-}
-
-// fanoutJob is one oversized publish being delivered cooperatively. The
-// publisher and any helpers that picked the job up claim fanoutChunk-sized
-// index ranges via cursor; whoever completes the last chunk closes doneCh.
-// The publisher always participates, so a job completes even if every
-// helper is busy and nobody dequeues it.
-type fanoutJob struct {
-	topic   string
-	payload []byte
-	qos     wire.QoS
-	frame   []byte
-	subs    []routeSub
-	cursor  atomic.Int64
-	done    atomic.Int64
-	dropped atomic.Int64
-	doneCh  chan struct{}
-}
-
-func (j *fanoutJob) run() {
-	total := int64(len(j.subs))
-	for {
-		start := int(j.cursor.Add(fanoutChunk)) - fanoutChunk
-		if start >= len(j.subs) {
-			return
-		}
-		end := start + fanoutChunk
-		if end > len(j.subs) {
-			end = len(j.subs)
-		}
-		var dropped int64
-		for _, sub := range j.subs[start:end] {
-			qos := minQoS(j.qos, sub.qos)
-			if qos == wire.QoS0 {
-				if !sub.session.deliverFrame(j.frame) {
-					dropped++
-				}
-				continue
-			}
-			out := &wire.PublishPacket{Topic: j.topic, Payload: j.payload, QoS: qos}
-			if !sub.session.deliver(out) {
-				dropped++
-			}
-		}
-		if dropped != 0 {
-			j.dropped.Add(dropped)
-		}
-		if j.done.Add(int64(end-start)) == total {
-			close(j.doneCh)
-		}
-	}
-}
-
-// fanoutParallel splits delivery of one publish across the helper pool.
-// It runs inside the publisher's gate read section: helpers work on the
-// job object itself, not on broker state, so the section's exclusion
-// argument is untouched — the publisher does not exit until every chunk
-// (its own and the helpers') has completed.
-func (b *Broker) fanoutParallel(p *wire.PublishPacket, subs []routeSub) int64 {
-	frame, err := wire.AppendEncodePublish(nil, p.Topic, p.Payload)
-	if err != nil {
-		// Unencodable message: nothing can be delivered (see fanoutSerial).
-		b.routeDropped.Add(int64(len(subs)))
-		return int64(len(subs))
-	}
-	j := &fanoutJob{
-		topic:   p.Topic,
-		payload: p.Payload,
-		qos:     p.QoS,
-		frame:   frame,
-		subs:    subs,
-		doneCh:  make(chan struct{}),
-	}
-	// Offer the job to up to chunks-1 helpers without ever blocking; the
-	// publisher keeps whatever the helpers don't take.
-	offers := (len(subs)+fanoutChunk-1)/fanoutChunk - 1
-	if offers > maxFanoutHelpers {
-		offers = maxFanoutHelpers
-	}
-	for i := 0; i < offers; i++ {
-		select {
-		case b.fanoutQ <- j:
-		default:
-			i = offers // queue full: helpers are saturated
-		}
-	}
-	j.run()
-	<-j.doneCh
-	return j.dropped.Load()
-}
-
-// startFanoutHelpers launches n helper goroutines. Helpers only park
-// between jobs — a claimed chunk always runs to completion — so Close can
-// stop them without stranding a publish mid-delivery.
-func (b *Broker) startFanoutHelpers(n int) {
-	if n <= 0 {
-		return
-	}
-	b.fanoutQ = make(chan *fanoutJob, 2*n)
-	b.fanoutStop = make(chan struct{})
-	for i := 0; i < n; i++ {
-		go func() {
-			for {
-				select {
-				case j := <-b.fanoutQ:
-					j.run()
-				case <-b.fanoutStop:
-					return
-				}
-			}
-		}()
-	}
 }
 
 // writerBufSize is the per-connection outbound coalescing buffer. 64 KiB
@@ -1031,12 +888,17 @@ func (b *Broker) handleSubscribe(sess *session, p *wire.SubscribePacket) {
 	// publishes whose store+route completed against the old routing
 	// snapshot, and every later publish routes against the new one and
 	// delivers live. The live stream can therefore never run behind the
-	// replay. Builder registration and the snapshot rebuild stay outside
-	// the fence (under mu only) so publishes flow during the copy.
+	// replay. Deriving the next snapshot stays outside the fence (under mu
+	// only) so publishes flow during the copy.
 	b.mu.Lock()
+	if b.superseded(sess) {
+		b.mu.Unlock()
+		return
+	}
+	tbl := b.routes.Load()
 	for i, sub := range p.Subscriptions {
 		granted := minQoS(sub.QoS, b.opts.MaxQoS)
-		b.trie.subscribe(sub.TopicFilter, sess, granted)
+		tbl = tbl.subscribe(sub.TopicFilter, sess, granted)
 		sess.addSubscription(sub.TopicFilter, granted)
 		b.persistSub(sess, sub.TopicFilter, granted)
 		codes[i] = byte(granted)
@@ -1044,7 +906,6 @@ func (b *Broker) handleSubscribe(sess *session, p *wire.SubscribePacket) {
 	// SUBACK precedes retained replay in the session queue (spec 3.8.4).
 	sess.send(&wire.SubackPacket{PacketID: p.PacketID, ReturnCodes: codes})
 
-	tbl := b.trie.build(b.routeEpoch.Add(1))
 	b.gate.lock()
 	b.routes.Store(tbl)
 	b.retainedMu.Lock()
@@ -1067,19 +928,32 @@ func (b *Broker) handleSubscribe(sess *session, p *wire.SubscribePacket) {
 
 func (b *Broker) handleUnsubscribe(sess *session, p *wire.UnsubscribePacket) {
 	b.mu.Lock()
-	removed := false
+	if b.superseded(sess) {
+		b.mu.Unlock()
+		return
+	}
+	tbl, removed := b.routes.Load(), false
 	for _, f := range p.TopicFilters {
-		if b.trie.unsubscribe(f, sess.clientID) {
+		var ok bool
+		if tbl, ok = tbl.unsubscribe(f, sess.clientID); ok {
 			removed = true
 		}
 		sess.removeSubscription(f)
 		b.persistUnsub(sess, f)
 	}
 	if removed {
-		b.swapRoutesLocked()
+		b.swapRoutesLocked(tbl)
 	}
 	b.mu.Unlock()
 	sess.send(&wire.AckPacket{PacketType: wire.UNSUBACK, PacketID: p.PacketID})
+}
+
+// superseded reports whether a clean-session takeover discarded sess while
+// its old connection was still reading packets. Route edits for it must
+// be ignored: its filters are keyed by the client ID the new session now
+// owns, and nothing would ever remove them. Callers hold b.mu.
+func (b *Broker) superseded(sess *session) bool {
+	return b.sessions[sess.clientID] != sess
 }
 
 func minQoS(a, b wire.QoS) wire.QoS {

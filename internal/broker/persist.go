@@ -286,7 +286,7 @@ func (b *Broker) recoverState(st store.Store) error {
 		for _, ss := range snap.Sessions {
 			sess := b.recoverSession(ss.ClientID)
 			for f, q := range ss.Subs {
-				b.trie.subscribe(f, sess, wire.QoS(q))
+				b.routes.Store(b.routes.Load().subscribe(f, sess, wire.QoS(q)))
 				sess.subscriptions[f] = wire.QoS(q)
 			}
 			ids := seen[ss.ClientID]
@@ -331,11 +331,12 @@ func (b *Broker) recoverState(st store.Store) error {
 			delete(seen, rec.Client)
 		case opSub:
 			sess := b.recoverSession(rec.Client)
-			b.trie.subscribe(rec.Filter, sess, wire.QoS(rec.QoS))
+			b.routes.Store(b.routes.Load().subscribe(rec.Filter, sess, wire.QoS(rec.QoS)))
 			sess.subscriptions[rec.Filter] = wire.QoS(rec.QoS)
 		case opUnsub:
 			if sess, ok := b.sessions[rec.Client]; ok {
-				b.trie.unsubscribe(rec.Filter, rec.Client)
+				tbl, _ := b.routes.Load().unsubscribe(rec.Filter, rec.Client)
+				b.routes.Store(tbl)
 				delete(sess.subscriptions, rec.Filter)
 			}
 		case opQueue:
@@ -391,11 +392,13 @@ func (b *Broker) recoverSession(clientID string) *session {
 
 // dropRecoveredSession removes a session rebuilt during recovery.
 func (b *Broker) dropRecoveredSession(clientID string) {
-	if _, ok := b.sessions[clientID]; !ok {
+	sess, ok := b.sessions[clientID]
+	if !ok {
 		return
 	}
 	delete(b.sessions, clientID)
-	b.trie.removeAll(clientID)
+	tbl, _ := withoutSession(b.routes.Load(), sess)
+	b.routes.Store(tbl)
 }
 
 // recoverQueued appends a replayed QoS1 message to the offline queue

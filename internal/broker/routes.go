@@ -1,6 +1,8 @@
 package broker
 
 import (
+	"maps"
+	"slices"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -9,13 +11,15 @@ import (
 )
 
 // Epoch-published routing. The broker's publish path routes against an
-// immutable routeTable snapshot published through an atomic pointer:
-// subscribe/unsubscribe/session churn mutate the builder trie under
-// Broker.mu, build a fresh snapshot, and swap it in under the epochGate
-// writer fence. A publish read section therefore always observes the
-// snapshot that is current for its entire section (the fence drains
-// in-flight sections before a swap completes), which is what makes the
-// epoch-keyed route cache below coherent without any locking on lookups.
+// immutable routeTable snapshot published through an atomic pointer.
+// Subscribe, unsubscribe and session churn never mutate a published
+// table: under Broker.mu they derive the next table by path copying
+// (only the nodes on the edited filter's path are copied; every other
+// subtree is shared) and swap it in under the epochGate writer fence. A
+// publish read section therefore always observes the snapshot that is
+// current for its entire section (the fence drains in-flight sections
+// before a swap completes), which is what makes the epoch-keyed route
+// cache below coherent without any locking on lookups.
 
 // routeSub is one matched delivery target: the session and the granted
 // QoS of the filter that matched.
@@ -24,16 +28,17 @@ type routeSub struct {
 	qos     wire.QoS
 }
 
-// routeTable is one immutable routing snapshot.
+// routeTable is one immutable routing snapshot. Every edit returns a new
+// table with the next epoch.
 type routeTable struct {
 	epoch    uint64
 	root     *routeNode
 	subCount int
 }
 
-// routeNode mirrors trieNode in immutable form: children holds only
-// literal levels; the `+` and `#` wildcard children get their own fields
-// so matching skips two map probes per level.
+// routeNode is one topic level. children holds only literal levels; the
+// `+` and `#` wildcard children get their own fields so matching skips
+// two map probes per level. subs holds at most one entry per client ID.
 type routeNode struct {
 	children map[string]*routeNode
 	plus     *routeNode
@@ -41,40 +46,127 @@ type routeNode struct {
 	subs     []routeSub
 }
 
-// build converts the mutable builder trie into an immutable snapshot
-// stamped with epoch. Callers hold Broker.mu, so the builder is quiescent.
-func (t *subTrie) build(epoch uint64) *routeTable {
-	t.mu.RLock()
-	defer t.mu.RUnlock()
-	root, count := buildRouteNode(t.root)
-	return &routeTable{epoch: epoch, root: root, subCount: count}
+func newRouteTable() *routeTable { return &routeTable{epoch: 1, root: &routeNode{}} }
+
+// subscribe returns a table in which s holds filter at qos, replacing the
+// grant of any earlier subscription by the same client ID to filter.
+func (t *routeTable) subscribe(filter string, s *session, qos wire.QoS) *routeTable {
+	added := false
+	root := t.root.edit(filter, func(subs []routeSub) []routeSub {
+		sub := routeSub{session: s, qos: qos}
+		subs = slices.Clone(subs)
+		if i := indexOf(subs, s.clientID); i >= 0 {
+			subs[i] = sub
+			return subs
+		}
+		added = true
+		return append(subs, sub)
+	})
+	n := t.subCount
+	if added {
+		n++
+	}
+	return &routeTable{epoch: t.epoch + 1, root: root, subCount: n}
 }
 
-func buildRouteNode(n *trieNode) (*routeNode, int) {
-	rn := &routeNode{}
-	count := len(n.subs)
-	if len(n.subs) > 0 {
-		rn.subs = make([]routeSub, 0, len(n.subs))
-		for _, s := range n.subs {
-			rn.subs = append(rn.subs, routeSub{session: s.session, qos: s.qos})
+// unsubscribe returns a table without clientID's subscription to filter,
+// or t itself and false when there was none.
+func (t *routeTable) unsubscribe(filter, clientID string) (*routeTable, bool) {
+	removed := false
+	root := t.root.edit(filter, func(subs []routeSub) []routeSub {
+		i := indexOf(subs, clientID)
+		if i < 0 {
+			return subs
+		}
+		removed = true
+		return slices.Delete(slices.Clone(subs), i, i+1)
+	})
+	if !removed {
+		return t, false
+	}
+	if root == nil {
+		root = &routeNode{}
+	}
+	return &routeTable{epoch: t.epoch + 1, root: root, subCount: t.subCount - 1}, true
+}
+
+// edit returns a copy of n (nil = empty) in which the node that filter
+// names below n holds fn(its subs); fn must not modify its argument. Only
+// the nodes on filter's path are copied, and those left empty are pruned:
+// the result is nil when n itself empties.
+func (n *routeNode) edit(filter string, fn func([]routeSub) []routeSub) *routeNode {
+	c := &routeNode{}
+	if n != nil {
+		*c = *n
+	}
+	level, rest, more := strings.Cut(filter, "/")
+	var nc *routeNode
+	if more {
+		nc = c.child(level).edit(rest, fn)
+	} else {
+		nc = &routeNode{}
+		if child := c.child(level); child != nil {
+			*nc = *child
+		}
+		if nc.subs = fn(nc.subs); nc.empty() {
+			nc = nil
 		}
 	}
-	for level, child := range n.children {
-		c, cc := buildRouteNode(child)
-		count += cc
-		switch level {
-		case "+":
-			rn.plus = c
-		case "#":
-			rn.hash = c
-		default:
-			if rn.children == nil {
-				rn.children = make(map[string]*routeNode, len(n.children))
+	c.setChild(level, nc)
+	if c.empty() {
+		return nil
+	}
+	return c
+}
+
+func (n *routeNode) child(level string) *routeNode {
+	switch {
+	case n == nil:
+		return nil
+	case level == "+":
+		return n.plus
+	case level == "#":
+		return n.hash
+	}
+	return n.children[level]
+}
+
+// setChild installs (or, for nil, removes) a child on a node that is
+// still private to the edit; the children map is copied, never mutated.
+func (n *routeNode) setChild(level string, c *routeNode) {
+	switch level {
+	case "+":
+		n.plus = c
+	case "#":
+		n.hash = c
+	default:
+		m := maps.Clone(n.children)
+		if c == nil {
+			delete(m, level)
+		} else {
+			if m == nil {
+				m = make(map[string]*routeNode, 1)
 			}
-			rn.children[level] = c
+			m[level] = c
+		}
+		if len(m) == 0 {
+			m = nil
+		}
+		n.children = m
+	}
+}
+
+func indexOf(subs []routeSub, clientID string) int {
+	for i, s := range subs {
+		if s.session.clientID == clientID {
+			return i
 		}
 	}
-	return rn, count
+	return -1
+}
+
+func (n *routeNode) empty() bool {
+	return len(n.subs) == 0 && len(n.children) == 0 && n.plus == nil && n.hash == nil
 }
 
 // matchBuf is pooled matching scratch: matched terminal nodes, a merge

@@ -156,13 +156,13 @@ func TestSubscriptionChurnUnderPublishLoad(t *testing.T) {
 // single-filter fast path and the multi-filter merge path) and a route
 // cache hit must be allocation-free once scratch buffers are warm.
 func TestRouteMatchZeroAllocs(t *testing.T) {
-	tr := newSubTrie()
+	tr := newTestRoutes()
 	s1 := newSession("c1", false)
 	s2 := newSession("c2", false)
 	tr.subscribe("iot/dev/+", s1, wire.QoS0)
 	tr.subscribe("iot/dev/temp", s2, wire.QoS1)
 	tr.subscribe("iot/#", s2, wire.QoS0)
-	tbl := tr.build(1)
+	tbl := tr.tbl
 
 	mb := getMatchBuf()
 	defer mb.release()
@@ -223,34 +223,30 @@ func TestRouteCacheEpochInvalidation(t *testing.T) {
 	}
 }
 
-// TestParallelFanoutDeliversAll covers the helper-pool fan-out path:
-// above fanoutThreshold subscribers, one publish is split across the
-// publisher and the helpers, and every subscriber must still receive
-// exactly one copy of the frame.
-func TestParallelFanoutDeliversAll(t *testing.T) {
+// TestWideFanoutDeliversAll pins exactly-once delivery for one publish
+// matching several hundred subscribers: every subscriber receives exactly
+// one copy of the shared frame.
+func TestWideFanoutDeliversAll(t *testing.T) {
 	b := New(Options{})
 	defer b.Close()
-	if b.fanoutQ == nil {
-		// Single-proc host at Open time: start a pool manually so the
-		// parallel path is exercised regardless of GOMAXPROCS.
-		b.startFanoutHelpers(2)
-	}
 
-	const n = fanoutThreshold + 37
+	const n = 256 + 37
 	chans := make([]chan outPacket, n)
 	b.mu.Lock()
+	tbl := b.routes.Load()
 	for i := 0; i < n; i++ {
 		s := newSession(fmt.Sprintf("f%d", i), false)
 		b.sessions[s.clientID] = s
-		b.trie.subscribe("fan/t", s, wire.QoS0)
+		tbl = tbl.subscribe("fan/t", s, wire.QoS0)
+		s.addSubscription("fan/t", wire.QoS0)
 		ch, _, _ := s.attach(4)
 		chans[i] = ch
 	}
-	b.swapRoutesLocked()
+	b.swapRoutesLocked(tbl)
 	b.mu.Unlock()
 
-	// Publish returns only after every chunk (publisher's and helpers')
-	// has completed, so the channels can be inspected immediately.
+	// Publish delivers on the caller's goroutine, so the channels can be
+	// inspected immediately.
 	b.Publish("fan/t", []byte("payload"), wire.QoS0, false)
 
 	for i, ch := range chans {
@@ -269,7 +265,37 @@ func TestParallelFanoutDeliversAll(t *testing.T) {
 		}
 	}
 	if d := b.Stats().MessagesDropped; d != 0 {
-		t.Fatalf("parallel fan-out dropped %d deliveries on empty queues", d)
+		t.Fatalf("fan-out dropped %d deliveries on empty queues", d)
+	}
+}
+
+// TestSupersededSessionCannotEditRoutes: after a clean-session takeover
+// replaced a session, SUBSCRIBE or UNSUBSCRIBE packets still arriving on
+// its old connection must not touch the routes. A stale filter would never
+// be removed, and an unsubscribe would strip the new session's filter of
+// the same name.
+func TestSupersededSessionCannotEditRoutes(t *testing.T) {
+	b := New(Options{})
+	defer b.Close()
+	old, cur := newSession("c", false), newSession("c", false)
+	b.mu.Lock()
+	b.sessions["c"] = cur
+	b.mu.Unlock()
+
+	sub := func(s *session, filter string) {
+		b.handleSubscribe(s, &wire.SubscribePacket{PacketID: 1,
+			Subscriptions: []wire.Subscription{{TopicFilter: filter, QoS: wire.QoS0}}})
+	}
+	sub(cur, "a/b")
+	sub(old, "a/stale")
+	b.handleUnsubscribe(old, &wire.UnsubscribePacket{PacketID: 2, TopicFilters: []string{"a/b"}})
+
+	mb := getMatchBuf()
+	defer mb.release()
+	tbl := b.routes.Load()
+	if tbl.subCount != 1 || len(tbl.match("a/b", mb)) != 1 || len(tbl.match("a/stale", mb)) != 0 {
+		t.Fatalf("routes after superseded edits: %d subscriptions, a/b=%v, a/stale=%v; want only the current session's a/b",
+			tbl.subCount, ids(tbl.match("a/b", mb)), ids(tbl.match("a/stale", mb)))
 	}
 }
 

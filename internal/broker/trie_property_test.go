@@ -44,16 +44,6 @@ func randomFilter(rng *rand.Rand) string {
 	return strings.Join(levels, "/")
 }
 
-// idsRoute flattens a snapshot match result the same way ids does for the
-// builder trie's subscriber list.
-func idsRoute(subs []routeSub) map[string]wire.QoS {
-	out := make(map[string]wire.QoS, len(subs))
-	for _, s := range subs {
-		out[s.session.clientID] = s.qos
-	}
-	return out
-}
-
 func sameMatch(got, want map[string]wire.QoS) bool {
 	if len(got) != len(want) {
 		return false
@@ -66,17 +56,35 @@ func sameMatch(got, want map[string]wire.QoS) bool {
 	return true
 }
 
+type subEntry struct {
+	filter string
+	qos    wire.QoS
+}
+
+// oracleMatch applies the spec-level wire.MatchTopic to a plain list of
+// subscriptions (client -> filter -> entry), highest QoS per client.
+func oracleMatch(oracle map[string]map[string]subEntry, topic string) map[string]wire.QoS {
+	want := make(map[string]wire.QoS)
+	for id, subs := range oracle {
+		for _, e := range subs {
+			if wire.MatchTopic(e.filter, topic) {
+				if q, ok := want[id]; !ok || e.qos > q {
+					want[id] = e.qos
+				}
+			}
+		}
+	}
+	return want
+}
+
 // TestTrieMatchesNaiveOracle drives random subscribe/unsubscribe sequences
-// and checks that trie matching agrees with the spec-level wire.MatchTopic
-// oracle applied to a plain list of subscriptions.
+// and checks that route-table matching agrees with the naive oracle. It
+// also pins path copying: a table captured mid-sequence must still match
+// its own oracle after every later edit.
 func TestTrieMatchesNaiveOracle(t *testing.T) {
 	f := func(seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))
-		tr := newSubTrie()
-		type subEntry struct {
-			filter string
-			qos    wire.QoS
-		}
+		tr := newTestRoutes()
 		oracle := make(map[string]map[string]subEntry) // client -> filter -> entry
 		sessions := make(map[string]*session)
 
@@ -88,7 +96,21 @@ func TestTrieMatchesNaiveOracle(t *testing.T) {
 		}
 
 		// Random mutation sequence.
+		var (
+			midTbl    *routeTable
+			midOracle map[string]map[string]subEntry
+		)
 		for op := 0; op < 60; op++ {
+			if op == 30 {
+				midTbl = tr.tbl
+				midOracle = make(map[string]map[string]subEntry, len(oracle))
+				for id, subs := range oracle {
+					midOracle[id] = make(map[string]subEntry, len(subs))
+					for f, e := range subs {
+						midOracle[id][f] = e
+					}
+				}
+			}
 			id := fmt.Sprintf("c%d", rng.Intn(clients))
 			switch rng.Intn(4) {
 			case 0, 1: // subscribe
@@ -101,44 +123,32 @@ func TestTrieMatchesNaiveOracle(t *testing.T) {
 				oracle[id][filter] = subEntry{filter: filter, qos: qos}
 			case 2: // unsubscribe something we may or may not have
 				filter := randomFilter(rng)
-				tr.unsubscribe(filter, id)
+				tr.unsubscribe(filter, sessions[id])
 				delete(oracle[id], filter)
 			case 3: // remove all for a client
-				tr.removeAll(id)
+				tr.removeAll(sessions[id])
 				oracle[id] = make(map[string]subEntry)
 			}
 		}
 
-		// All three matchers must agree with the oracle: the builder trie,
-		// the immutable route snapshot built from it, and a route-cache
-		// store/lookup round-trip of the snapshot's result.
-		tbl := tr.build(7)
+		// Both matchers must agree with the oracle: the route table, and a
+		// route-cache store/lookup round-trip of its result.
+		tbl := tr.tbl
 		var rc routeCache
 		mb := getMatchBuf()
 		defer mb.release()
 
 		for probe := 0; probe < 40; probe++ {
 			topic := randomTopic(rng)
+			want := oracleMatch(oracle, topic)
 
-			want := make(map[string]wire.QoS)
-			for id, subs := range oracle {
-				for _, e := range subs {
-					if wire.MatchTopic(e.filter, topic) {
-						if q, ok := want[id]; !ok || e.qos > q {
-							want[id] = e.qos
-						}
-					}
-				}
-			}
-
-			got := ids(tr.match(topic))
-			if !sameMatch(got, want) {
-				t.Logf("seed %d topic %q: trie=%v oracle=%v", seed, topic, got, want)
-				return false
-			}
-			snapGot := idsRoute(tbl.match(topic, mb))
+			snapGot := ids(tbl.match(topic, mb))
 			if !sameMatch(snapGot, want) {
 				t.Logf("seed %d topic %q: snapshot=%v oracle=%v", seed, topic, snapGot, want)
+				return false
+			}
+			if midGot, midWant := ids(midTbl.match(topic, mb)), oracleMatch(midOracle, topic); !sameMatch(midGot, midWant) {
+				t.Logf("seed %d topic %q: later edits changed an earlier snapshot: %v, want %v", seed, topic, midGot, midWant)
 				return false
 			}
 			rc.store(topic, 7, tbl.match(topic, mb), nil, true)
@@ -147,7 +157,7 @@ func TestTrieMatchesNaiveOracle(t *testing.T) {
 				t.Logf("seed %d topic %q: cache miss right after store", seed, topic)
 				return false
 			}
-			if cacheGot := idsRoute(hit.subs); !sameMatch(cacheGot, want) {
+			if cacheGot := ids(hit.subs); !sameMatch(cacheGot, want) {
 				t.Logf("seed %d topic %q: cache=%v oracle=%v", seed, topic, cacheGot, want)
 				return false
 			}
@@ -157,15 +167,10 @@ func TestTrieMatchesNaiveOracle(t *testing.T) {
 			}
 		}
 
-		// Count must equal the oracle's total subscription count, in both
-		// the builder and the snapshot it produced.
+		// Count must equal the oracle's total subscription count.
 		total := 0
 		for _, subs := range oracle {
 			total += len(subs)
-		}
-		if tr.countSubscriptions() != total {
-			t.Logf("seed %d: trie count %d, oracle %d", seed, tr.countSubscriptions(), total)
-			return false
 		}
 		if tbl.subCount != total {
 			t.Logf("seed %d: snapshot count %d, oracle %d", seed, tbl.subCount, total)

@@ -6,7 +6,44 @@ import (
 	"github.com/ifot-middleware/ifot/internal/wire"
 )
 
-func ids(subs []*subscriber) map[string]wire.QoS {
+// testRoutes drives routeTable edits the way the broker does: each edit
+// derives the next table, and session.subscriptions mirrors the filters
+// so removeAll goes through withoutSession.
+type testRoutes struct {
+	tbl *routeTable
+}
+
+func newTestRoutes() *testRoutes { return &testRoutes{tbl: newRouteTable()} }
+
+func (r *testRoutes) subscribe(filter string, s *session, qos wire.QoS) {
+	r.tbl = r.tbl.subscribe(filter, s, qos)
+	s.addSubscription(filter, qos)
+}
+
+func (r *testRoutes) unsubscribe(filter string, s *session) bool {
+	var removed bool
+	r.tbl, removed = r.tbl.unsubscribe(filter, s.clientID)
+	s.removeSubscription(filter)
+	return removed
+}
+
+func (r *testRoutes) removeAll(s *session) {
+	r.tbl, _ = withoutSession(r.tbl, s)
+	for f := range s.subscriptionList() {
+		s.removeSubscription(f)
+	}
+}
+
+// match returns a copy of the current table's match result.
+func (r *testRoutes) match(topic string) []routeSub {
+	mb := getMatchBuf()
+	defer mb.release()
+	return append([]routeSub(nil), r.tbl.match(topic, mb)...)
+}
+
+func (r *testRoutes) countSubscriptions() int { return r.tbl.subCount }
+
+func ids(subs []routeSub) map[string]wire.QoS {
 	out := make(map[string]wire.QoS, len(subs))
 	for _, s := range subs {
 		out[s.session.clientID] = s.qos
@@ -15,7 +52,7 @@ func ids(subs []*subscriber) map[string]wire.QoS {
 }
 
 func TestTrieExactMatch(t *testing.T) {
-	tr := newSubTrie()
+	tr := newTestRoutes()
 	s := newSession("c1", false)
 	tr.subscribe("a/b/c", s, wire.QoS1)
 
@@ -32,7 +69,7 @@ func TestTrieExactMatch(t *testing.T) {
 }
 
 func TestTrieWildcards(t *testing.T) {
-	tr := newSubTrie()
+	tr := newTestRoutes()
 	plus := newSession("plus", false)
 	hash := newSession("hash", false)
 	tr.subscribe("sensor/+/temp", plus, wire.QoS0)
@@ -54,7 +91,7 @@ func TestTrieWildcards(t *testing.T) {
 }
 
 func TestTrieOverlappingFiltersHighestQoSWins(t *testing.T) {
-	tr := newSubTrie()
+	tr := newTestRoutes()
 	s := newSession("c", false)
 	tr.subscribe("a/#", s, wire.QoS0)
 	tr.subscribe("a/b", s, wire.QoS1)
@@ -69,13 +106,13 @@ func TestTrieOverlappingFiltersHighestQoSWins(t *testing.T) {
 }
 
 func TestTrieUnsubscribe(t *testing.T) {
-	tr := newSubTrie()
+	tr := newTestRoutes()
 	s := newSession("c", false)
 	tr.subscribe("a/b", s, wire.QoS0)
-	if !tr.unsubscribe("a/b", "c") {
+	if !tr.unsubscribe("a/b", s) {
 		t.Fatal("unsubscribe reported missing subscription")
 	}
-	if tr.unsubscribe("a/b", "c") {
+	if tr.unsubscribe("a/b", s) {
 		t.Fatal("second unsubscribe reported success")
 	}
 	if len(tr.match("a/b")) != 0 {
@@ -87,14 +124,14 @@ func TestTrieUnsubscribe(t *testing.T) {
 }
 
 func TestTrieRemoveAll(t *testing.T) {
-	tr := newSubTrie()
+	tr := newTestRoutes()
 	a := newSession("a", false)
 	b := newSession("b", false)
 	tr.subscribe("x/1", a, wire.QoS0)
 	tr.subscribe("x/2", a, wire.QoS0)
 	tr.subscribe("x/1", b, wire.QoS0)
 
-	tr.removeAll("a")
+	tr.removeAll(a)
 	if got := tr.countSubscriptions(); got != 1 {
 		t.Fatalf("countSubscriptions = %d, want 1", got)
 	}
@@ -105,7 +142,7 @@ func TestTrieRemoveAll(t *testing.T) {
 }
 
 func TestTrieDollarTopicsNotMatchedByWildcards(t *testing.T) {
-	tr := newSubTrie()
+	tr := newTestRoutes()
 	s := newSession("c", false)
 	tr.subscribe("#", s, wire.QoS0)
 	tr.subscribe("+/x", s, wire.QoS0)
@@ -120,7 +157,7 @@ func TestTrieDollarTopicsNotMatchedByWildcards(t *testing.T) {
 }
 
 func TestTrieResubscribeReplacesQoS(t *testing.T) {
-	tr := newSubTrie()
+	tr := newTestRoutes()
 	s := newSession("c", false)
 	tr.subscribe("a", s, wire.QoS0)
 	tr.subscribe("a", s, wire.QoS1)
@@ -134,7 +171,7 @@ func TestTrieResubscribeReplacesQoS(t *testing.T) {
 }
 
 func TestTrieEmptyLevels(t *testing.T) {
-	tr := newSubTrie()
+	tr := newTestRoutes()
 	s := newSession("c", false)
 	tr.subscribe("a//b", s, wire.QoS0)
 	if len(tr.match("a//b")) != 1 {

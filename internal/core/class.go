@@ -270,7 +270,7 @@ func paramInt(sub recipe.SubTask, key string, fallback int) int {
 	return fallback
 }
 
-func newClassifier(sub recipe.SubTask) ml.Classifier {
+func newClassifier(sub recipe.SubTask) ml.DenseClassifier {
 	switch paramString(sub, "model", "pa") {
 	case "perceptron":
 		return ml.NewPerceptron(paramFloat(sub, "learningRate", 1))
@@ -541,7 +541,6 @@ func (m *Module) startTrain(inst *taskInstance, rec recipe.Recipe, sub recipe.Su
 	if ck, ok := clf.(ml.Checkpointer); ok {
 		m.registerCheckpointer(inst, sub.Name(), ck)
 	}
-	dclf, dense := clf.(ml.DenseClassifier)
 	var (
 		mu       sync.Mutex
 		examples int64
@@ -556,13 +555,9 @@ func (m *Module) startTrain(inst *taskInstance, rec recipe.Recipe, sub recipe.Su
 		if !shardOwnsBatch(sub, seq) {
 			return
 		}
-		if dense {
-			dv := BatchDense(batch)
-			dclf.TrainDense(dv, labelFor(sub, batch))
-			feature.PutDense(dv)
-		} else {
-			clf.Train(BatchFeatures(batch), labelFor(sub, batch))
-		}
+		dv := BatchDense(batch)
+		clf.TrainDense(dv, labelFor(sub, batch))
+		feature.PutDense(dv)
 		mu.Lock()
 		examples++
 		count := examples
@@ -592,22 +587,12 @@ func (m *Module) startTrain(inst *taskInstance, rec recipe.Recipe, sub recipe.Su
 	}
 
 	// MIX: publish weights for predictors and sibling shards; average in
-	// sibling snapshots (Jubatus-style distributed learning).
-	if exporter, mixable := clf.(ml.WeightExporter); mixable {
-		return m.startMixLoop(inst, rec, sub, exporter)
+	// sibling updates (Jubatus-style distributed learning). AROW has no
+	// MIX.
+	if dm, mixable := clf.(ml.DeltaMixer); mixable {
+		return m.startMixLoop(inst, rec, sub, dm)
 	}
 	return nil
-}
-
-// startMixLoop runs the Managing class's MIX protocol for one learner.
-// Delta-capable learners use the binary delta protocol (startMixLoopDelta);
-// Config.MixJSON or a plain WeightExporter falls back to the legacy
-// retained-JSON full-snapshot exchange.
-func (m *Module) startMixLoop(inst *taskInstance, rec recipe.Recipe, sub recipe.SubTask, exporter ml.WeightExporter) error {
-	if dm, ok := exporter.(ml.DeltaMixer); ok && !m.cfg.MixJSON {
-		return m.startMixLoopDelta(inst, rec, sub, dm)
-	}
-	return m.startMixLoopJSON(inst, rec, sub, exporter)
 }
 
 // mixEvictCounter returns the peer-eviction counter (nil without telemetry).
@@ -628,7 +613,8 @@ func (m *Module) noteMixRound(payloadBytes int, staleness time.Duration) {
 	m.metrics.mixStaleness.Set(staleness.Seconds())
 }
 
-// startMixLoopDelta is the Delta-MIX publisher: every MixInterval the
+// startMixLoop is the Managing class's MIX protocol for one learner, the
+// Delta-MIX publisher: every MixInterval the
 // updates accumulated since the last round ship as one QoS-DataQoS,
 // non-retained binary delta with an unbroken round sequence; every
 // MixKeyframeEvery rounds the full state follows as a retained keyframe
@@ -637,7 +623,7 @@ func (m *Module) noteMixRound(payloadBytes int, staleness time.Duration) {
 // and after publishing, the local model keeps only its own 1/n share of
 // the round's updates — algebraically one synchronized full average per
 // round, without ever materializing the union of weight maps.
-func (m *Module) startMixLoopDelta(inst *taskInstance, rec recipe.Recipe, sub recipe.SubTask, dm ml.DeltaMixer) error {
+func (m *Module) startMixLoop(inst *taskInstance, rec recipe.Recipe, sub recipe.SubTask, dm ml.DeltaMixer) error {
 	topic := mixTopic(rec.Name, sub.TaskID)
 	mixClient := m.currentClient()
 	if mixClient == nil {
@@ -648,14 +634,8 @@ func (m *Module) startMixLoopDelta(inst *taskInstance, rec recipe.Recipe, sub re
 	rx := newMixReceiver(dm, true, m.cfg.MixStaleAfter, m.mixEvictCounter())
 	rx.setEvents(m.events, m.cfg.ID)
 	if sub.ShardCount > 1 {
-		// Reusable decode target: the handler runs serially on its lane.
-		var peerDelta ml.MixDelta
 		_, reg, err := mixClient.SubscribeHandle(topic+"/+", m.cfg.DataQoS, func(msg mqttclient.Message) {
-			h, err := DecodeMix(msg.Payload, syms, &peerDelta)
-			if err != nil || h.ModuleID == m.cfg.ID {
-				return
-			}
-			rx.onPayload(h, &peerDelta, m.now())
+			rx.onMessage(msg.Payload, m.now())
 		})
 		if err != nil {
 			return fmt.Errorf("core: subscribe mix: %w", err)
@@ -707,7 +687,7 @@ func (m *Module) startMixLoopDelta(inst *taskInstance, rec recipe.Recipe, sub re
 					}
 				}
 				if keyframeEvery <= 1 || round%keyframeEvery == 1 {
-					dm.ExportDenseInto(&dense)
+					rx.exportKeyframe(&dense)
 					hk := h
 					hk.Keyframe = true
 					enc = AppendEncodeMix(enc[:0], hk, &dense, syms)
@@ -724,126 +704,22 @@ func (m *Module) startMixLoopDelta(inst *taskInstance, rec recipe.Recipe, sub re
 }
 
 // startModelSync subscribes a Judging-class model to the named trainer
-// task's MIX stream and folds arriving payloads — binary deltas,
-// keyframes, or legacy JSON snapshots — into it via a mixReceiver with
-// no local shard membership.
+// task's MIX stream and folds arriving deltas and keyframes into it via a
+// mixReceiver with no local shard membership.
 func (m *Module) startModelSync(inst *taskInstance, rec recipe.Recipe, from string, model ml.DeltaMixer) error {
 	client := m.currentClient()
 	if client == nil {
 		return ErrNotStarted
 	}
-	syms := feature.DefaultSymbols()
 	rx := newMixReceiver(model, false, m.cfg.MixStaleAfter, m.mixEvictCounter())
 	rx.setEvents(m.events, m.cfg.ID)
-	// Reusable decode target: the handler runs serially on its lane.
-	var pd ml.MixDelta
 	_, reg, err := client.SubscribeHandle(mixTopic(rec.Name, from)+"/+", m.cfg.DataQoS, func(msg mqttclient.Message) {
-		h, err := DecodeMix(msg.Payload, syms, &pd)
-		if err != nil {
-			return
-		}
-		rx.onPayload(h, &pd, m.now())
+		rx.onMessage(msg.Payload, m.now())
 	})
 	if err != nil {
 		return fmt.Errorf("core: subscribe model: %w", err)
 	}
 	inst.onStop(reg.Remove)
-	return nil
-}
-
-// startMixLoopJSON is the legacy MIX exchange kept for mixed-version
-// clusters (Config.MixJSON) and learners without delta support: every
-// MixInterval the full model is published as a retained JSON MixSnapshot;
-// for sharded tasks, sibling snapshots are averaged back into the local
-// model. Peers beyond the staleness bound are evicted before averaging.
-func (m *Module) startMixLoopJSON(inst *taskInstance, rec recipe.Recipe, sub recipe.SubTask, exporter ml.WeightExporter) error {
-	type jsonPeer struct {
-		weights map[string]feature.Vector
-		at      time.Time
-	}
-	var (
-		peersMu sync.Mutex
-		peers   = make(map[string]*jsonPeer)
-	)
-	topic := mixTopic(rec.Name, sub.TaskID)
-	mixClient := m.currentClient()
-	if mixClient == nil {
-		return ErrNotStarted
-	}
-	if sub.ShardCount > 1 {
-		_, reg, err := mixClient.SubscribeHandle(topic+"/+", m.cfg.DataQoS, func(msg mqttclient.Message) {
-			var snap MixSnapshot
-			if err := DecodeJSON(msg.Payload, &snap); err != nil || snap.ModuleID == m.cfg.ID {
-				return
-			}
-			peersMu.Lock()
-			peers[snap.ModuleID] = &jsonPeer{weights: fromJSONWeights(snap.Weights), at: m.now()}
-			peersMu.Unlock()
-		})
-		if err != nil {
-			return fmt.Errorf("core: subscribe mix: %w", err)
-		}
-		inst.onStop(reg.Remove)
-	}
-
-	ctx, cancel := context.WithCancel(m.ctx)
-	inst.onStop(cancel)
-	m.wg.Add(1)
-	go func() {
-		defer m.wg.Done()
-		evictions := m.mixEvictCounter()
-		for {
-			select {
-			case <-ctx.Done():
-				return
-			case <-m.cfg.Clock.After(m.cfg.MixInterval):
-				// Self-fenced: skip the round (see the delta loop).
-				if m.outputsFenced.Load() {
-					continue
-				}
-				own := exporter.ExportWeights()
-				snap := MixSnapshot{
-					ModuleID: m.cfg.ID,
-					Shard:    sub.Shard,
-					Weights:  toJSONWeights(own),
-					At:       m.now(),
-				}
-				payload := EncodeJSON(snap)
-				if err := mixClient.Publish(topic+"/"+m.cfg.ID, payload, m.cfg.DataQoS, true); err != nil {
-					m.logf("train %s mix publish: %v", sub.Name(), err)
-				}
-				var staleness time.Duration
-				if sub.ShardCount > 1 {
-					now := m.now()
-					peersMu.Lock()
-					snapshots := make([]map[string]feature.Vector, 0, len(peers)+1)
-					snapshots = append(snapshots, own)
-					for id, p := range peers {
-						if m.cfg.MixStaleAfter > 0 && now.Sub(p.at) > m.cfg.MixStaleAfter {
-							delete(peers, id)
-							if evictions != nil {
-								evictions.Inc()
-							}
-							m.events.Eventf(telemetry.SevWarn, m.cfg.ID, "mix_peer_evicted",
-								"peer", id, "age", now.Sub(p.at).String())
-							continue
-						}
-						if age := now.Sub(p.at); age > staleness {
-							staleness = age
-						}
-						snapshots = append(snapshots, p.weights)
-					}
-					peersMu.Unlock()
-					if len(snapshots) > 1 {
-						if avg, err := ml.AverageWeights(snapshots); err == nil {
-							exporter.ImportWeights(avg)
-						}
-					}
-				}
-				m.noteMixRound(len(payload), staleness)
-			}
-		}
-	}()
 	return nil
 }
 
@@ -932,10 +808,9 @@ func (m *Module) startPredict(inst *taskInstance, rec recipe.Recipe, sub recipe.
 		return m.startPredictRegression(inst, rec, sub, topics)
 	}
 	clf := newClassifier(sub)
-	dclf, dense := clf.(ml.DenseClassifier)
 
-	// Model sync: fold the named trainer task's MIX stream — binary
-	// deltas, keyframes, or legacy JSON snapshots — into the local model.
+	// Model sync: fold the named trainer task's MIX stream (deltas and
+	// keyframes) into the local model.
 	if from := paramString(sub, "modelFrom", ""); from != "" {
 		if dm, ok := clf.(ml.DeltaMixer); ok {
 			if err := m.startModelSync(inst, rec, from, dm); err != nil {
@@ -954,21 +829,11 @@ func (m *Module) startPredict(inst *taskInstance, rec recipe.Recipe, sub recipe.
 		}
 		label := ""
 		score := 0.0
-		if dense {
-			dv := BatchDense(batch)
-			if best, err := dclf.BestDense(dv); err == nil {
-				label, score = best.Label, best.Score
-			}
-			feature.PutDense(dv)
-		} else {
-			v := BatchFeatures(batch)
-			if got, err := clf.Classify(v); err == nil {
-				label = got
-				if scores := clf.Scores(v); len(scores) > 0 {
-					score = scores[0].Score
-				}
-			}
+		dv := BatchDense(batch)
+		if best, err := clf.BestDense(dv); err == nil {
+			label, score = best.Label, best.Score
 		}
+		feature.PutDense(dv)
 		m.emitDecision(rec, sub, Decision{
 			Kind:     string(recipe.KindPredict),
 			Label:    label,
@@ -1019,7 +884,7 @@ func (m *Module) startAnomaly(inst *taskInstance, rec recipe.Recipe, sub recipe.
 	if err != nil {
 		return err
 	}
-	var detector ml.AnomalyDetector
+	var detector ml.DenseAnomalyDetector
 	threshold := paramFloat(sub, "threshold", 3)
 	switch paramString(sub, "detector", "zscore") {
 	case "knn":
@@ -1033,7 +898,6 @@ func (m *Module) startAnomaly(inst *taskInstance, rec recipe.Recipe, sub recipe.
 	if ck, ok := detector.(ml.Checkpointer); ok {
 		m.registerCheckpointer(inst, sub.Name(), ck)
 	}
-	ddet, dense := detector.(ml.DenseAnomalyDetector)
 
 	// With a "window" param the detector scores sliding-window summary
 	// features (mean/std/energy/zero-crossings) per sensor instead of raw
@@ -1089,20 +953,10 @@ func (m *Module) startAnomaly(inst *taskInstance, rec recipe.Recipe, sub recipe.
 				continue
 			}
 			scored = true
-			var score float64
-			if dense {
-				dv := feature.GetDense()
-				appendSampleRawDense(dv, s)
-				score = ddet.AddDense(dv)
-				feature.PutDense(dv)
-			} else {
-				cs := symsFor(s.SensorIndex)
-				score = detector.Add(feature.Vector{
-					cs.rawKey[0]: float64(s.Values[0]),
-					cs.rawKey[1]: float64(s.Values[1]),
-					cs.rawKey[2]: float64(s.Values[2]),
-				})
-			}
+			dv := feature.GetDense()
+			appendSampleRawDense(dv, s)
+			score := detector.AddDense(dv)
+			feature.PutDense(dv)
 			if score > worst {
 				worst = score
 			}
@@ -1248,32 +1102,6 @@ func (m *Module) emitDecision(rec recipe.Recipe, sub recipe.SubTask, d Decision)
 	if m.cfg.Observer.OnDecision != nil {
 		m.cfg.Observer.OnDecision(d)
 	}
-}
-
-// toJSONWeights / fromJSONWeights bridge feature.Vector maps to plain JSON
-// maps for MixSnapshot payloads.
-func toJSONWeights(w map[string]feature.Vector) map[string]map[string]float64 {
-	out := make(map[string]map[string]float64, len(w))
-	for label, vec := range w {
-		m := make(map[string]float64, len(vec))
-		for k, v := range vec {
-			m[k] = v
-		}
-		out[label] = m
-	}
-	return out
-}
-
-func fromJSONWeights(w map[string]map[string]float64) map[string]feature.Vector {
-	out := make(map[string]feature.Vector, len(w))
-	for label, m := range w {
-		vec := make(feature.Vector, len(m))
-		for k, v := range m {
-			vec[k] = v
-		}
-		out[label] = vec
-	}
-	return out
 }
 
 // describeKind returns a human-readable class name for a task kind

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"errors"
 	"math"
 	"strings"
 	"testing"
@@ -61,7 +62,7 @@ func TestMixCodecRoundTrip(t *testing.T) {
 		t.Fatalf("DecodeMix: %v", err)
 	}
 	if gh.ModuleID != h.ModuleID || gh.Shard != h.Shard || gh.Round != h.Round ||
-		gh.Keyframe != h.Keyframe || gh.Legacy || !gh.At.Equal(h.At) {
+		gh.Keyframe != h.Keyframe || !gh.At.Equal(h.At) {
 		t.Fatalf("header mismatch: got %+v want %+v", gh, h)
 	}
 	gm := mixDeltaMap(&got, syms)
@@ -97,29 +98,27 @@ func TestMixCodecBufferReuseAndDeltaFlag(t *testing.T) {
 	}
 }
 
-func TestMixCodecJSONFallback(t *testing.T) {
+// legacyJSONSnapshot is a retained full-model JSON snapshot as published
+// by pre-binary MIX versions, which this protocol no longer speaks.
+const legacyJSONSnapshot = `{"moduleId":"legacy-1","shard":2,"weights":{"hot":{"s1@mean":0.5}},"at":"2023-11-14T22:13:20Z"}`
+
+// TestMixCodecRejectsLegacyJSON: a JSON snapshot is not a binary frame, so
+// it must fail to decode, and a receiver fed it must leave its model
+// untouched.
+func TestMixCodecRejectsLegacyJSON(t *testing.T) {
 	syms := feature.DefaultSymbols()
-	snap := MixSnapshot{
-		ModuleID: "legacy-1",
-		Shard:    2,
-		Weights: map[string]map[string]float64{
-			"hot": {"s1@mean": 0.5},
-		},
-		At: time.Unix(1700000000, 0).UTC(),
-	}
 	var d ml.MixDelta
-	h, err := DecodeMix(EncodeJSON(snap), syms, &d)
-	if err != nil {
-		t.Fatalf("DecodeMix(json): %v", err)
+	if _, err := DecodeMix([]byte(legacyJSONSnapshot), syms, &d); !errors.Is(err, ErrBadMixPayload) {
+		t.Fatalf("DecodeMix(legacy JSON) error = %v, want ErrBadMixPayload", err)
 	}
-	if !h.Legacy || !h.Keyframe {
-		t.Fatalf("legacy JSON must decode as legacy keyframe, got %+v", h)
-	}
-	if h.ModuleID != "legacy-1" || h.Shard != 2 {
-		t.Fatalf("header mismatch: %+v", h)
-	}
-	if got := mixDeltaMap(&d, syms)["hot"]["s1@mean"]; got != 0.5 {
-		t.Fatalf("weight = %v, want 0.5", got)
+
+	model := ml.NewPassiveAggressive(1)
+	model.Train(feature.Vector{"s1@mean": 1}, "hot")
+	before := model.ExportWeights()
+	newMixReceiver(model, false, 0, nil).onMessage([]byte(legacyJSONSnapshot), time.Now())
+	after := model.ExportWeights()
+	if len(after) != len(before) || after["hot"]["s1@mean"] != before["hot"]["s1@mean"] {
+		t.Fatalf("model changed after a legacy JSON payload: %v -> %v", before, after)
 	}
 }
 
@@ -212,7 +211,7 @@ func FuzzDecodeMixSnapshot(f *testing.F) {
 	})
 	f.Add(AppendEncodeMix(nil, MixHeader{ModuleID: "fuzz", Shard: 1, Round: 42, At: time.Unix(0, 123)}, seed, syms))
 	f.Add(AppendEncodeMix(nil, MixHeader{ModuleID: "kf", Keyframe: true}, &ml.MixDelta{}, syms))
-	f.Add(EncodeJSON(MixSnapshot{ModuleID: "legacy", Weights: map[string]map[string]float64{"hot": {"a@x": 1}}}))
+	f.Add([]byte(legacyJSONSnapshot))
 	f.Add([]byte{0xCE})
 	f.Add([]byte{0xCE, 0x01, 0x00})
 	f.Add([]byte("{"))

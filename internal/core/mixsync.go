@@ -5,17 +5,17 @@ import (
 	"sync"
 	"time"
 
+	"github.com/ifot-middleware/ifot/internal/feature"
 	"github.com/ifot-middleware/ifot/internal/ml"
 	"github.com/ifot-middleware/ifot/internal/telemetry"
 )
 
-// mixPeer is the per-publisher sync state a receiver keeps — three words
-// instead of the full per-peer weight snapshot the JSON protocol cached.
+// mixPeer is the per-publisher sync state a receiver keeps — a few words,
+// never a per-peer weight snapshot.
 type mixPeer struct {
 	lastRound uint64
 	synced    bool // bootstrapped from a keyframe; deltas apply in order
 	desynced  bool // lost sync to a round gap; pending keyframe recovery
-	legacy    bool // JSON publisher: full state every round, no sequencing
 	lastAt    time.Time
 }
 
@@ -46,6 +46,10 @@ type mixReceiver struct {
 	// receiving module in those events.
 	events *telemetry.EventLog
 	module string
+
+	// scratch is onMessage's reusable decode target: a subscription
+	// handler runs serially on its dispatch lane.
+	scratch ml.MixDelta
 }
 
 func newMixReceiver(model ml.DeltaMixer, hasLocal bool, staleAfter time.Duration, evictions *telemetry.Counter) *mixReceiver {
@@ -73,6 +77,30 @@ func (rx *mixReceiver) noteLocalUpdate() {
 	rx.mu.Unlock()
 }
 
+// exportKeyframe fills d with the local model's full state for a keyframe
+// and marks the local model a blend member. Peers fold every keyframe in
+// as a member, even an empty one, so the local side must count itself
+// from then on too, or an empty first keyframe leaves the two sides
+// disagreeing forever on how many members the average has. Holding rx.mu
+// orders the export against a concurrent peer keyframe absorb.
+func (rx *mixReceiver) exportKeyframe(d *ml.MixDelta) {
+	rx.mu.Lock()
+	rx.model.ExportDenseInto(d)
+	rx.localMember = true
+	rx.mu.Unlock()
+}
+
+// onMessage decodes one raw MIX payload and ingests it. Undecodable
+// payloads are dropped, and a shard member skips its own publications
+// (the receiving module's ID as given to setEvents).
+func (rx *mixReceiver) onMessage(payload []byte, now time.Time) {
+	h, err := DecodeMix(payload, feature.DefaultSymbols(), &rx.scratch)
+	if err != nil || (rx.hasLocal && h.ModuleID == rx.module) {
+		return
+	}
+	rx.onPayload(h, &rx.scratch, now)
+}
+
 // onPayload ingests one decoded peer payload received at local time now.
 func (rx *mixReceiver) onPayload(h MixHeader, d *ml.MixDelta, now time.Time) {
 	rx.mu.Lock()
@@ -85,14 +113,8 @@ func (rx *mixReceiver) onPayload(h MixHeader, d *ml.MixDelta, now time.Time) {
 		rx.peers[h.ModuleID] = p
 	}
 	p.lastAt = now
-	p.legacy = h.Legacy
 	rx.evictLocked(now)
 	switch {
-	case h.Legacy:
-		// Full state every round at union-averaging weight (the publisher
-		// counts itself via the legacy tally) — degraded but interoperable
-		// compatibility with pre-delta publishers.
-		rx.absorbLocked(d, rx.blendMembersLocked(now)+rx.freshLegacyLocked(now))
 	case h.Keyframe:
 		if p.synced && h.Round <= p.lastRound {
 			return // periodic keyframe for an in-sync peer: nothing new
@@ -144,14 +166,9 @@ func (rx *mixReceiver) absorbLocked(d *ml.MixDelta, total int) {
 // blendMembersLocked counts how many members the local state represents:
 // the local shard (once it holds real state) plus every fresh in-sync peer.
 func (rx *mixReceiver) blendMembersLocked(now time.Time) int {
-	n := 0
+	n := rx.syncedPeersLocked(now)
 	if rx.hasLocal && rx.localMember {
 		n++
-	}
-	for _, p := range rx.peers {
-		if p.synced && !p.legacy && rx.freshLocked(p, now) {
-			n++
-		}
 	}
 	return n
 }
@@ -159,33 +176,22 @@ func (rx *mixReceiver) blendMembersLocked(now time.Time) int {
 // shardCountLocked is n for delta weighting: the live shard members — the
 // local trainer (if any) plus every fresh in-sync delta publisher.
 func (rx *mixReceiver) shardCountLocked(now time.Time) int {
-	n := 0
-	if rx.hasLocal {
+	n := rx.syncedPeersLocked(now)
+	if rx.hasLocal || n == 0 {
 		n++
 	}
-	for _, p := range rx.peers {
-		if p.synced && !p.legacy && rx.freshLocked(p, now) {
-			n++
-		}
-	}
-	if n < 1 {
-		n = 1
-	}
 	return n
 }
 
-func (rx *mixReceiver) freshLegacyLocked(now time.Time) int {
+// syncedPeersLocked counts the fresh, in-sync peers.
+func (rx *mixReceiver) syncedPeersLocked(now time.Time) int {
 	n := 0
 	for _, p := range rx.peers {
-		if p.legacy && rx.freshLocked(p, now) {
+		if p.synced && (rx.staleAfter <= 0 || now.Sub(p.lastAt) <= rx.staleAfter) {
 			n++
 		}
 	}
 	return n
-}
-
-func (rx *mixReceiver) freshLocked(p *mixPeer, now time.Time) bool {
-	return rx.staleAfter <= 0 || now.Sub(p.lastAt) <= rx.staleAfter
 }
 
 // evictLocked drops peers not heard from within staleAfter. Their already-

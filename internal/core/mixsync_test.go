@@ -123,6 +123,40 @@ func TestMixReceiverEvictsStalePeers(t *testing.T) {
 	}
 }
 
+// TestEmptyFirstKeyframeStillCounts pins the bootstrap case where one
+// shard's first keyframe is empty (no training yet) while its sibling has
+// state S. Each side absorbs the other's keyframe as a blend member, so
+// both must settle on S/2: the empty side counts itself from its own
+// keyframe on, instead of importing S wholesale while the sibling halves.
+func TestEmptyFirstKeyframeStillCounts(t *testing.T) {
+	a, b := ml.NewPassiveAggressive(1), ml.NewPassiveAggressive(1)
+	a.EnableDeltaTracking()
+	b.EnableDeltaTracking()
+	b.Train(feature.Vector{"e@x": 1}, "hot")
+	b.Train(feature.Vector{"e@x": -1}, "cold")
+	s := weightOf(b, "hot", "e@x")
+	if s == 0 {
+		t.Fatal("training left b without state")
+	}
+	rxA := newMixReceiver(a, true, 0, nil)
+	rxB := newMixReceiver(b, true, 0, nil)
+	t0 := time.Unix(100, 0)
+
+	// Round 1 on both sides: b's delta marks it a member, then each
+	// exports its keyframe before the other's arrives.
+	var delta, kfA, kfB ml.MixDelta
+	b.ExportDeltaInto(&delta)
+	rxB.noteLocalUpdate()
+	rxA.exportKeyframe(&kfA)
+	rxB.exportKeyframe(&kfB)
+	rxA.onPayload(MixHeader{ModuleID: "b", Round: 1, Keyframe: true}, &kfB, t0)
+	rxB.onPayload(MixHeader{ModuleID: "a", Round: 1, Keyframe: true}, &kfA, t0)
+
+	if ga, gb := weightOf(a, "hot", "e@x"), weightOf(b, "hot", "e@x"); ga != s/2 || gb != s/2 {
+		t.Fatalf("after the first keyframes a=%v b=%v, want both %v", ga, gb, s/2)
+	}
+}
+
 // TestShardedMixConvergesExactly runs a two-module sharded trainer over a
 // real broker, stops the sensor source, and verifies both shards' next
 // keyframes carry identical weights — the delta exchange left no residue.
@@ -234,7 +268,7 @@ func TestShardedMixConvergesExactly(t *testing.T) {
 	_, err = obs.Subscribe(mixTopic("dmix", "train")+"/+", wire.QoS0, func(msg mqttclient.Message) {
 		var d ml.MixDelta
 		h, err := DecodeMix(msg.Payload, syms, &d)
-		if err != nil || !h.Keyframe || h.Legacy {
+		if err != nil || !h.Keyframe {
 			return
 		}
 		// Retained keyframes replay on subscribe; only trust frames

@@ -77,10 +77,6 @@ type Config struct {
 	// bound, so departed or stalled modules stop dragging the average
 	// (default 3×MixInterval).
 	MixStaleAfter time.Duration
-	// MixJSON switches MIX publishing back to the legacy retained-JSON
-	// full-snapshot protocol for interoperability with pre-delta modules.
-	// Delta-capable receivers understand both formats either way.
-	MixJSON bool
 	// Observer receives middleware events.
 	Observer Observer
 	// DisableReconnect turns off automatic reconnection after a broker

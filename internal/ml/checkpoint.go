@@ -13,8 +13,8 @@ import (
 // with at most one checkpoint interval of training lost — instead of
 // rejoining MIX from zero.
 //
-// The interchange builds on the same name-keyed sparse form the MIX
-// protocol uses (ExportWeights/ImportWeights): feature IDs are interned
+// The interchange builds on the name-keyed sparse form of
+// ExportWeights/ImportWeights: feature IDs are interned
 // per process, so blobs must never carry raw IDs — they would be garbage
 // in the next process. Everything is keyed by feature name.
 

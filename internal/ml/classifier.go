@@ -8,7 +8,7 @@
 // Learner internals are dense: feature names are interned to uint32 IDs
 // through the process-wide feature.Symbols table and weights live in flat
 // []float64 slices indexed by ID. The map-based feature.Vector API is kept
-// as the interchange form (MIX weight exchange, JSON) via thin adapters.
+// as the interchange form (checkpoints, MIX test oracles) via thin adapters.
 package ml
 
 import (

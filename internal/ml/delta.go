@@ -35,9 +35,7 @@ func (s labelDeltaByID) Swap(i, j int) {
 
 // MixDelta is the sparse interchange form of a MIX payload: either the
 // weight entries that changed since the last export (a delta) or a model's
-// full nonzero state (a keyframe). It replaces the nested string-keyed
-// maps of the JSON MixSnapshot on the hot exchange path; feature identity
-// stays process-local (interned IDs), and only the wire codec resolves
+// full nonzero state (a keyframe). Feature identity stays process-local (interned IDs), and only the wire codec resolves
 // names. The zero value is ready to use, and Reset recycles all backing
 // storage, so one MixDelta serves a whole mix loop without allocating in
 // steady state.

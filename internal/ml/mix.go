@@ -6,11 +6,13 @@ import (
 	"github.com/ifot-middleware/ifot/internal/feature"
 )
 
-// ErrNothingToMix is returned when Mix receives no models.
+// ErrNothingToMix is returned when MixDense or AverageWeights receives no
+// models.
 var ErrNothingToMix = errors.New("ml: nothing to mix")
 
-// WeightExporter is implemented by linear models that can share their
-// weights for Jubatus-style MIX averaging across IFoT neuron modules.
+// WeightExporter is implemented by linear models that can hand out their
+// weights as string-keyed maps: the checkpoint form, and the reference
+// that the delta MIX protocol (DeltaMixer) is tested against.
 type WeightExporter interface {
 	// ExportWeights returns a deep copy of the per-label weight vectors.
 	ExportWeights() map[string]feature.Vector
@@ -104,39 +106,4 @@ func AverageWeights(snapshots []map[string]feature.Vector) (map[string]feature.V
 		}
 	}
 	return avg, nil
-}
-
-// Mix gathers weights from every model, averages them, and pushes the
-// average back into each model — one MIX round of distributed training.
-// When every model supports the delta path it runs as MixDense (streaming,
-// no string-keyed maps); otherwise it falls back to the map-based union
-// average.
-func Mix(models ...WeightExporter) error {
-	if len(models) == 0 {
-		return ErrNothingToMix
-	}
-	mixers := make([]DeltaMixer, 0, len(models))
-	for _, m := range models {
-		dm, ok := m.(DeltaMixer)
-		if !ok {
-			mixers = nil
-			break
-		}
-		mixers = append(mixers, dm)
-	}
-	if mixers != nil {
-		return MixDense(mixers...)
-	}
-	snapshots := make([]map[string]feature.Vector, len(models))
-	for i, m := range models {
-		snapshots[i] = m.ExportWeights()
-	}
-	avg, err := AverageWeights(snapshots)
-	if err != nil {
-		return err
-	}
-	for _, m := range models {
-		m.ImportWeights(avg)
-	}
-	return nil
 }

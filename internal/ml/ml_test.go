@@ -231,7 +231,7 @@ func TestMixConvergesModels(t *testing.T) {
 		b.Train(feature.Vector{"y": 2 + rng.NormFloat64()*0.2}, "pos")
 		b.Train(feature.Vector{"y": -2 + rng.NormFloat64()*0.2}, "neg")
 	}
-	if err := Mix(a, b); err != nil {
+	if err := MixDense(a, b); err != nil {
 		t.Fatal(err)
 	}
 	// After MIX both models know both feature axes.
@@ -255,8 +255,8 @@ func TestMixConvergesModels(t *testing.T) {
 }
 
 func TestMixEmpty(t *testing.T) {
-	if err := Mix(); err != ErrNothingToMix {
-		t.Fatalf("Mix() = %v, want ErrNothingToMix", err)
+	if err := MixDense(); err != ErrNothingToMix {
+		t.Fatalf("MixDense() = %v, want ErrNothingToMix", err)
 	}
 	if _, err := AverageWeights(nil); err != ErrNothingToMix {
 		t.Fatalf("AverageWeights(nil) = %v, want ErrNothingToMix", err)
@@ -326,7 +326,7 @@ func TestPARegressorMixAverages(t *testing.T) {
 		a.Train(feature.Vector{"x": x}, 2*x)
 		b.Train(feature.Vector{"x": x}, 4*x)
 	}
-	if err := Mix(a, b); err != nil {
+	if err := MixDense(a, b); err != nil {
 		t.Fatal(err)
 	}
 	// After averaging, both predict the mean function ~3x.

@@ -4,6 +4,7 @@ import (
 	"encoding/json"
 	"sort"
 	"sync"
+	"sync/atomic"
 	"time"
 )
 
@@ -60,9 +61,7 @@ type EventLog struct {
 	next  int
 	total uint64
 
-	export    []Event // nil until SetExportBuffer enables export queueing
-	exportCap int
-	dropped   uint64 // export-queue sheds
+	export atomic.Pointer[ExportQueue[Event]] // nil until SetExportBuffer
 }
 
 // NewEventLog creates a ring retaining the most recent capacity events
@@ -76,8 +75,8 @@ func NewEventLog(capacity int) *EventLog {
 }
 
 // SetExportBuffer enables the export queue, buffering at most n events
-// between Drain calls (non-positive = DefaultEventExportBuffer). Call
-// before the log sees concurrent traffic.
+// between Drain calls (non-positive = DefaultEventExportBuffer). A later
+// call resizes the queue and keeps what is pending.
 func (l *EventLog) SetExportBuffer(n int) {
 	if l == nil {
 		return
@@ -85,12 +84,9 @@ func (l *EventLog) SetExportBuffer(n int) {
 	if n <= 0 {
 		n = DefaultEventExportBuffer
 	}
-	l.mu.Lock()
-	l.exportCap = n
-	if l.export == nil {
-		l.export = make([]Event, 0, n)
+	if !l.export.CompareAndSwap(nil, NewExportQueue[Event](n)) {
+		l.export.Load().setLimit(n)
 	}
-	l.mu.Unlock()
 }
 
 // Emit appends an event to the ring (and the export queue when enabled).
@@ -107,12 +103,9 @@ func (l *EventLog) Emit(ev Event) {
 	}
 	l.mu.Lock()
 	l.appendLocked(ev)
-	if l.export != nil {
-		if len(l.export) >= l.exportCap {
-			l.dropped++
-		} else {
-			l.export = append(l.export, ev)
-		}
+	// Under l.mu, so the export queue keeps the ring's order.
+	if q := l.export.Load(); q != nil {
+		q.Offer(ev)
 	}
 	l.mu.Unlock()
 }
@@ -214,9 +207,7 @@ func (l *EventLog) Dropped() uint64 {
 	if l == nil {
 		return 0
 	}
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	return l.dropped
+	return l.export.Load().Dropped()
 }
 
 // Drain removes and returns the pending export queue (nil when empty or
@@ -225,14 +216,7 @@ func (l *EventLog) Drain() []Event {
 	if l == nil {
 		return nil
 	}
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	if len(l.export) == 0 {
-		return nil
-	}
-	out := l.export
-	l.export = make([]Event, 0, l.exportCap)
-	return out
+	return l.export.Load().Drain()
 }
 
 // Pending reports the number of events queued for export.
@@ -240,9 +224,7 @@ func (l *EventLog) Pending() int {
 	if l == nil {
 		return 0
 	}
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	return len(l.export)
+	return l.export.Load().Pending()
 }
 
 // BindRegistry exposes the log's lifetime totals on reg as monotone

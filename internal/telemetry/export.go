@@ -33,17 +33,9 @@ func DecodeSpanBatch(data []byte) (SpanBatch, error) {
 // the caller does not choose a size.
 const DefaultSpanExportBuffer = 1024
 
-// SpanExporter buffers completed spans for periodic batched export.
-// Offer is the Tracer sink; when the bounded buffer is full, new spans
-// are dropped and counted rather than blocking the pipeline — trace
-// export must never apply backpressure to the data path. Drain swaps the
-// buffer out for publishing. All methods are safe for concurrent use.
-type SpanExporter struct {
-	mu      sync.Mutex
-	buf     []Span
-	limit   int
-	dropped atomic.Uint64
-}
+// SpanExporter buffers completed spans for periodic batched export; Offer
+// is the Tracer sink.
+type SpanExporter = ExportQueue[Span]
 
 // NewSpanExporter creates an exporter buffering at most limit spans
 // between flushes (non-positive = DefaultSpanExportBuffer).
@@ -51,40 +43,76 @@ func NewSpanExporter(limit int) *SpanExporter {
 	if limit <= 0 {
 		limit = DefaultSpanExportBuffer
 	}
-	return &SpanExporter{buf: make([]Span, 0, limit), limit: limit}
+	return NewExportQueue[Span](limit)
 }
 
-// Offer enqueues a completed span, dropping it (and counting the drop)
-// when the buffer is full.
-func (e *SpanExporter) Offer(s Span) {
-	e.mu.Lock()
-	if len(e.buf) >= e.limit {
-		e.mu.Unlock()
-		e.dropped.Add(1)
+// ExportQueue is the bounded buffer between a producer on an observed
+// path and a periodic exporter that drains it. When the buffer is full,
+// new items are dropped and counted rather than blocking the producer —
+// export must never apply backpressure to the paths it observes. All
+// methods are safe for concurrent use; Drain, Pending and Dropped are
+// also safe on a nil queue (export disabled).
+type ExportQueue[T any] struct {
+	mu      sync.Mutex
+	buf     []T
+	limit   int
+	dropped atomic.Uint64
+}
+
+// NewExportQueue creates a queue buffering at most limit items between
+// drains.
+func NewExportQueue[T any](limit int) *ExportQueue[T] {
+	return &ExportQueue[T]{buf: make([]T, 0, limit), limit: limit}
+}
+
+// Offer enqueues v, dropping it (and counting the drop) when the buffer
+// is full.
+func (q *ExportQueue[T]) Offer(v T) {
+	q.mu.Lock()
+	if len(q.buf) >= q.limit {
+		q.mu.Unlock()
+		q.dropped.Add(1)
 		return
 	}
-	e.buf = append(e.buf, s)
-	e.mu.Unlock()
+	q.buf = append(q.buf, v)
+	q.mu.Unlock()
 }
 
-// Drain removes and returns all buffered spans (nil when empty).
-func (e *SpanExporter) Drain() []Span {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	if len(e.buf) == 0 {
+func (q *ExportQueue[T]) setLimit(n int) {
+	q.mu.Lock()
+	q.limit = n
+	q.mu.Unlock()
+}
+
+// Drain removes and returns all buffered items (nil when empty).
+func (q *ExportQueue[T]) Drain() []T {
+	if q == nil {
 		return nil
 	}
-	out := e.buf
-	e.buf = make([]Span, 0, e.limit)
+	q.mu.Lock()
+	defer q.mu.Unlock()
+	if len(q.buf) == 0 {
+		return nil
+	}
+	out := q.buf
+	q.buf = make([]T, 0, q.limit)
 	return out
 }
 
-// Pending reports the number of buffered spans.
-func (e *SpanExporter) Pending() int {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	return len(e.buf)
+// Pending reports the number of buffered items.
+func (q *ExportQueue[T]) Pending() int {
+	if q == nil {
+		return 0
+	}
+	q.mu.Lock()
+	defer q.mu.Unlock()
+	return len(q.buf)
 }
 
-// Dropped reports how many spans were shed on a full buffer.
-func (e *SpanExporter) Dropped() uint64 { return e.dropped.Load() }
+// Dropped reports how many items were shed on a full buffer.
+func (q *ExportQueue[T]) Dropped() uint64 {
+	if q == nil {
+		return 0
+	}
+	return q.dropped.Load()
+}
