@@ -1,6 +1,7 @@
 package main
 
 import (
+	"bufio"
 	"fmt"
 	"io"
 	"net"
@@ -117,26 +118,29 @@ func measureThroughput(cfg throughputConfig) (throughputResult, error) {
 
 	const topic = "bench/throughput"
 
-	handshake := func(id string) (net.Conn, error) {
+	// handshake connects a raw client and returns the connection with the
+	// buffered reader that serves all of its reads.
+	handshake := func(id string) (net.Conn, *bufio.Reader, error) {
 		conn, err := net.Dial("tcp", addr)
 		if err != nil {
-			return nil, err
+			return nil, nil, err
 		}
 		if err := wire.WritePacket(conn, &wire.ConnectPacket{ClientID: id, CleanSession: true}); err != nil {
 			conn.Close()
-			return nil, err
+			return nil, nil, err
 		}
-		if _, err := wire.ReadPacket(conn, 0); err != nil {
+		r := bufio.NewReader(conn)
+		if _, err := wire.ReadPacket(r, 0); err != nil {
 			conn.Close()
-			return nil, fmt.Errorf("CONNACK: %w", err)
+			return nil, nil, fmt.Errorf("CONNACK: %w", err)
 		}
-		return conn, nil
+		return conn, r, nil
 	}
 
 	// Subscribers: wire-level sinks that subscribe once and then drain.
 	subConns := make([]net.Conn, 0, cfg.subscribers)
 	for i := 0; i < cfg.subscribers; i++ {
-		conn, err := handshake(fmt.Sprintf("tsub-%d", i))
+		conn, r, err := handshake(fmt.Sprintf("tsub-%d", i))
 		if err != nil {
 			return res, err
 		}
@@ -148,10 +152,10 @@ func measureThroughput(cfg throughputConfig) (throughputResult, error) {
 		if err := wire.WritePacket(conn, sub); err != nil {
 			return res, err
 		}
-		if _, err := wire.ReadPacket(conn, 0); err != nil {
+		if _, err := wire.ReadPacket(r, 0); err != nil {
 			return res, fmt.Errorf("SUBACK: %w", err)
 		}
-		go io.Copy(io.Discard, conn) //nolint:errcheck // sink until closed
+		go io.Copy(io.Discard, r) //nolint:errcheck // sink until closed
 	}
 
 	frame, err := wire.Encode(&wire.PublishPacket{Topic: topic, Payload: make([]byte, cfg.payload)})
@@ -165,7 +169,7 @@ func measureThroughput(cfg throughputConfig) (throughputResult, error) {
 	var wg sync.WaitGroup
 	pubConns := make([]net.Conn, 0, cfg.publishers)
 	for i := 0; i < cfg.publishers; i++ {
-		conn, err := handshake(fmt.Sprintf("tpub-%d", i))
+		conn, _, err := handshake(fmt.Sprintf("tpub-%d", i))
 		if err != nil {
 			return res, err
 		}

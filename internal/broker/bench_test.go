@@ -93,6 +93,51 @@ func BenchmarkPublishFanout(b *testing.B) {
 	}
 }
 
+// BenchmarkPublishManyTopics measures the publish path when the topic set
+// outgrows the route cache (16 shards of 512): 12,288 device topics in 4
+// zones, one zone subscriber each, published round-robin, as in a fleet
+// of sensors. About a third of publishes miss the cache, and a miss on a
+// shard that is full of live topics must cost routing only.
+func BenchmarkPublishManyTopics(b *testing.B) {
+	const zones, topics = 4, 12288
+	br, addr := startBenchBroker(b, Options{SessionQueueSize: 8192})
+	for z := 0; z < zones; z++ {
+		benchSubscriber(b, addr, fmt.Sprintf("zone-%d", z), fmt.Sprintf("bench/many/z%d/+", z))
+	}
+	waitSubs(b, br, zones)
+	names := make([]string, topics)
+	for i := range names {
+		names[i] = fmt.Sprintf("bench/many/z%d/d%d", i%zones, i)
+	}
+	payload := make([]byte, 128)
+	// One pass fills the cache, so the timed loop measures the steady state.
+	warm := br.Stats()
+	for i, name := range names {
+		br.Publish(name, payload, wire.QoS0, false)
+		if (i+1)%benchWindow == 0 {
+			drainDeliveries(b, br, warm, int64(i+1))
+		}
+	}
+	drainDeliveries(b, br, warm, topics)
+	base := br.Stats()
+	_, missBase := br.RouteCacheStats()
+
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		br.Publish(names[i%topics], payload, wire.QoS0, false)
+		if (i+1)%benchWindow == 0 {
+			drainDeliveries(b, br, base, int64(i+1))
+		}
+	}
+	st := drainDeliveries(b, br, base, int64(b.N))
+	b.StopTimer()
+	_, misses := br.RouteCacheStats()
+	b.ReportMetric(float64(b.N)/b.Elapsed().Seconds(), "msgs/sec")
+	b.ReportMetric(float64(st.MessagesDropped-base.MessagesDropped)/float64(b.N), "drops/op")
+	b.ReportMetric(float64(misses-missBase)/float64(b.N), "misses/op")
+}
+
 // BenchmarkPublishConcurrent measures routing scalability: GOMAXPROCS
 // publishers running concurrently against a wildcard subscriber pool. With
 // a single global broker lock the publishers serialize; with read-mostly

@@ -389,9 +389,13 @@ func (b *Broker) logf(format string, args ...any) {
 func (b *Broker) handleConn(conn net.Conn) {
 	defer conn.Close()
 
-	// The first packet must be CONNECT; give slow clients 10 seconds.
+	// The first packet must be CONNECT; give slow clients 10 seconds. Its
+	// reader (4 KiB: one read syscall takes in every frame that has
+	// arrived) serves the whole connection, as packets pipelined behind
+	// CONNECT may already sit in its buffer.
 	_ = conn.SetReadDeadline(time.Now().Add(10 * time.Second))
-	pkt, err := wire.ReadPacket(conn, b.opts.MaxPacketSize)
+	r := bufio.NewReader(conn)
+	pkt, err := wire.ReadPacket(r, b.opts.MaxPacketSize)
 	if err != nil {
 		return
 	}
@@ -487,7 +491,7 @@ func (b *Broker) handleConn(conn net.Conn) {
 	}()
 
 	will := willOf(connect)
-	normal := b.readLoop(conn, sess, connect.KeepAlive)
+	normal := b.readLoop(conn, r, sess, connect.KeepAlive)
 
 	// Tear down: detach so no further deliveries target this connection,
 	// close the socket so a blocked writer errors out, then send the
@@ -603,9 +607,10 @@ func withoutSession(tbl *routeTable, sess *session) (*routeTable, bool) {
 	return tbl, removed
 }
 
-// readLoop processes inbound packets until the connection ends. It reports
-// whether the client disconnected gracefully (DISCONNECT packet).
-func (b *Broker) readLoop(conn net.Conn, sess *session, keepAlive uint16) (graceful bool) {
+// readLoop processes inbound packets from r, conn's reader, until the
+// connection ends. It reports whether the client disconnected gracefully
+// (DISCONNECT packet).
+func (b *Broker) readLoop(conn net.Conn, r *bufio.Reader, sess *session, keepAlive uint16) (graceful bool) {
 	for {
 		if keepAlive > 0 {
 			deadline := time.Duration(keepAlive) * time.Second * 3 / 2
@@ -613,7 +618,7 @@ func (b *Broker) readLoop(conn net.Conn, sess *session, keepAlive uint16) (grace
 		} else {
 			_ = conn.SetReadDeadline(time.Time{})
 		}
-		pkt, err := wire.ReadPacket(conn, b.opts.MaxPacketSize)
+		pkt, err := wire.ReadPacket(r, b.opts.MaxPacketSize)
 		if err != nil {
 			return false
 		}
@@ -724,17 +729,17 @@ func (b *Broker) publish(p *wire.PublishPacket, fromClientID string) {
 	var subs []routeSub
 	var tc *topicCount
 	var valid bool
+	var mb *matchBuf // holds subs on a miss until fan-out is done
 	if v := b.rcache.lookup(p.Topic, snap.epoch); v != nil {
 		sh.cacheHits.Add(1)
 		subs, tc, valid = v.subs, v.tc, v.valid
 	} else {
 		sh.cacheMisses.Add(1)
-		mb := getMatchBuf()
-		matched := snap.match(p.Topic, mb)
+		mb = getMatchBuf()
+		subs = snap.match(p.Topic, mb)
 		tc = b.topicCounter(p.Topic)
 		valid = wire.ValidateTopicName(p.Topic) == nil
-		subs = b.rcache.store(p.Topic, snap.epoch, matched, tc, valid)
-		mb.release()
+		b.rcache.store(p.Topic, snap.epoch, subs, tc, valid)
 	}
 	if tc != nil {
 		tc.bump()
@@ -753,6 +758,9 @@ func (b *Broker) publish(p *wire.PublishPacket, fromClientID string) {
 		b.routeDropped.Add(droppedHere)
 	default:
 		droppedHere = b.fanoutSerial(p, subs)
+	}
+	if mb != nil {
+		mb.release()
 	}
 	b.gate.exit(sh)
 	if b.metrics != nil && droppedHere > 0 {
@@ -844,6 +852,9 @@ func (b *Broker) topicCounter(topic string) *topicCount {
 	}
 	b.pubMu.RLock()
 	tc, ok := b.pubByTopic[topic]
+	if !ok && len(b.pubByTopic) >= maxPublishTopics {
+		tc, ok = b.pubByTopic[overflowTopicKey]
+	}
 	b.pubMu.RUnlock()
 	if ok {
 		return tc
@@ -903,11 +914,13 @@ func (b *Broker) handleSubscribe(sess *session, p *wire.SubscribePacket) {
 		b.persistSub(sess, sub.TopicFilter, granted)
 		codes[i] = byte(granted)
 	}
-	// SUBACK precedes retained replay in the session queue (spec 3.8.4).
-	sess.send(&wire.SubackPacket{PacketID: p.PacketID, ReturnCodes: codes})
 
 	b.gate.lock()
 	b.routes.Store(tbl)
+	// SUBACK goes out only once the new snapshot is in place, so a publish
+	// the client makes after reading it is routed to the new filter; it
+	// still precedes retained replay in the session queue (spec 3.8.4).
+	sess.send(&wire.SubackPacket{PacketID: p.PacketID, ReturnCodes: codes})
 	b.retainedMu.Lock()
 	for i, sub := range p.Subscriptions {
 		for topic, msg := range b.retained {

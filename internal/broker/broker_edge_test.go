@@ -1,6 +1,9 @@
 package broker
 
 import (
+	"bufio"
+	"net"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -235,5 +238,85 @@ func TestBrokerRefusesUnknownProtocolLevel(t *testing.T) {
 	ack, ok := pkt.(*wire.ConnackPacket)
 	if !ok || ack.Code != wire.ConnRefusedVersion {
 		t.Fatalf("level-5 CONNECT answered with %+v, want refused-version", pkt)
+	}
+}
+
+// readCounter counts the Read calls that returned data on every
+// connection a listener accepts.
+type readCounter struct {
+	net.Listener
+	reads atomic.Int64
+}
+
+func (l *readCounter) Accept() (net.Conn, error) {
+	conn, err := l.Listener.Accept()
+	if err != nil {
+		return nil, err
+	}
+	return &countedConn{Conn: conn, reads: &l.reads}, nil
+}
+
+type countedConn struct {
+	net.Conn
+	reads *atomic.Int64
+}
+
+func (c *countedConn) Read(p []byte) (int, error) {
+	n, err := c.Conn.Read(p)
+	if n > 0 {
+		c.reads.Add(1)
+	}
+	return n, err
+}
+
+// TestBrokerHandlesPipelinedPackets sends CONNECT, SUBSCRIBE and PUBLISH in
+// one write. Every packet must be handled, which holds only if the reader
+// that took CONNECT also serves the steady-state loop, and all three must
+// come in with fewer reads than packets.
+func TestBrokerHandlesPipelinedPackets(t *testing.T) {
+	b := New(Options{})
+	pl := netsim.NewPipeListener()
+	l := &readCounter{Listener: pl}
+	go func() { _ = b.Serve(l) }()
+	t.Cleanup(func() {
+		_ = b.Close()
+		_ = pl.Close()
+	})
+	conn, err := pl.Dial()
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer conn.Close()
+
+	var stream []byte
+	for _, p := range []wire.Packet{
+		&wire.ConnectPacket{ClientID: "pipelined", CleanSession: true},
+		&wire.SubscribePacket{PacketID: 1, Subscriptions: []wire.Subscription{{TopicFilter: "p/t", QoS: wire.QoS0}}},
+		&wire.PublishPacket{Topic: "p/t", Payload: []byte("hi")},
+	} {
+		if stream, err = wire.AppendEncode(stream, p); err != nil {
+			t.Fatal(err)
+		}
+	}
+	// The pipe's write blocks until the broker has read every byte, and the
+	// broker blocks writing CONNACK until this side reads it.
+	go func() { _, _ = conn.Write(stream) }()
+
+	_ = conn.SetReadDeadline(time.Now().Add(5 * time.Second))
+	r := bufio.NewReader(conn)
+	for _, want := range []wire.PacketType{wire.CONNACK, wire.SUBACK, wire.PUBLISH} {
+		pkt, err := wire.ReadPacket(r, 0)
+		if err != nil {
+			t.Fatalf("waiting for %v: %v", want, err)
+		}
+		if pkt.Type() != want {
+			t.Fatalf("got %v, want %v", pkt.Type(), want)
+		}
+		if p, ok := pkt.(*wire.PublishPacket); ok && (p.Topic != "p/t" || string(p.Payload) != "hi") {
+			t.Fatalf("delivered %q=%q, want p/t=hi", p.Topic, p.Payload)
+		}
+	}
+	if n := l.reads.Load(); n >= 3 {
+		t.Fatalf("broker made %d reads for 3 pipelined packets, want fewer reads than packets", n)
 	}
 }

@@ -283,6 +283,11 @@ const (
 type rcShard struct {
 	m  atomic.Pointer[map[string]*rcCell]
 	mu sync.Mutex // serializes map-copy inserts; lookups never touch it
+	// fullAt is the snapshot epoch at which the shard was last found full
+	// of entries live at that epoch. Entries go stale only at an epoch
+	// swap, so until then a new topic has nothing to evict and store
+	// returns at once. Epochs start at 1, so the zero value never matches.
+	fullAt atomic.Uint64
 }
 
 // rcCell is one topic's slot; stable across epochs so refreshes after a
@@ -322,23 +327,29 @@ func (c *routeCache) lookup(topic string, epoch uint64) *rcVal {
 	return v
 }
 
-// store caches subs (copied) for topic at epoch and returns the owned
-// copy. Refreshing an existing topic is a lock-free pointer store; a new
-// topic takes the shard mutex and republishes a copied map. A full shard
-// first evicts entries not republished since the last epoch swap; if
-// every entry is live, the new topic simply stays uncached — matching is
-// cheap, and the bound is what keeps an adversarial topic stream from
-// growing broker memory.
-func (c *routeCache) store(topic string, epoch uint64, subs []routeSub, tc *topicCount, valid bool) []routeSub {
+// store caches subs (copied) for topic at epoch. Refreshing an existing
+// topic is a lock-free pointer store; a new topic takes the shard mutex
+// and republishes a copied map. A full shard first evicts entries not
+// republished since the last epoch swap; if every entry is live, the new
+// topic simply stays uncached — matching is cheap, and the bound is what
+// keeps an adversarial topic stream from growing broker memory — and the
+// shard is marked full for the rest of the epoch, so later new topics
+// skip the mutex, the scan and every allocation.
+func (c *routeCache) store(topic string, epoch uint64, subs []routeSub, tc *topicCount, valid bool) {
+	sh := &c.shards[rcHash(topic)&(routeCacheShards-1)]
+	var cell *rcCell
+	if mp := sh.m.Load(); mp != nil {
+		cell = (*mp)[topic]
+	}
+	if cell == nil && sh.fullAt.Load() == epoch {
+		return
+	}
 	owned := make([]routeSub, len(subs))
 	copy(owned, subs)
 	val := &rcVal{epoch: epoch, subs: owned, tc: tc, valid: valid}
-	sh := &c.shards[rcHash(topic)&(routeCacheShards-1)]
-	if mp := sh.m.Load(); mp != nil {
-		if cell := (*mp)[topic]; cell != nil {
-			cell.v.Store(val)
-			return owned
-		}
+	if cell != nil {
+		cell.v.Store(val)
+		return
 	}
 	sh.mu.Lock()
 	defer sh.mu.Unlock()
@@ -349,7 +360,7 @@ func (c *routeCache) store(topic string, epoch uint64, subs []routeSub, tc *topi
 	} else {
 		if cell := (*mp)[topic]; cell != nil { // raced with another insert
 			cell.v.Store(val)
-			return owned
+			return
 		}
 		if len(*mp) >= routeCacheShardMax {
 			nm = make(map[string]*rcCell, routeCacheShardMax/2)
@@ -359,7 +370,8 @@ func (c *routeCache) store(topic string, epoch uint64, subs []routeSub, tc *topi
 				}
 			}
 			if len(nm) >= routeCacheShardMax {
-				return owned // shard genuinely hot and full
+				sh.fullAt.Store(epoch) // shard genuinely hot and full
+				return
 			}
 		} else {
 			nm = make(map[string]*rcCell, len(*mp)+1)
@@ -368,11 +380,10 @@ func (c *routeCache) store(topic string, epoch uint64, subs []routeSub, tc *topi
 			}
 		}
 	}
-	cell := &rcCell{}
+	cell = &rcCell{}
 	cell.v.Store(val)
 	nm[topic] = cell
 	sh.m.Store(&nm)
-	return owned
 }
 
 // rcHash is FNV-1a over the topic bytes (allocation-free).

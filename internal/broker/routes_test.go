@@ -320,3 +320,108 @@ func TestStatsSkipsRetainedMu(t *testing.T) {
 		t.Fatal("Stats blocked on retainedMu")
 	}
 }
+
+// shardTopics returns n distinct topics that all hash to the route cache's
+// shard 0.
+func shardTopics(prefix string, n int) []string {
+	topics := make([]string, 0, n)
+	for i := 0; len(topics) < n; i++ {
+		if t := fmt.Sprintf("%s/%d", prefix, i); rcHash(t)&(routeCacheShards-1) == 0 {
+			topics = append(topics, t)
+		}
+	}
+	return topics
+}
+
+// TestRouteCacheFullShard: a shard full of entries live at the current
+// epoch turns new topics away without allocating, and after an epoch swap
+// it evicts the stale entries and admits new topics again.
+func TestRouteCacheFullShard(t *testing.T) {
+	var rc routeCache
+	subs := []routeSub{{session: newSession("c", false), qos: wire.QoS0}}
+	topics := shardTopics("full", routeCacheShardMax+2)
+	for _, topic := range topics[:routeCacheShardMax] {
+		rc.store(topic, 1, subs, nil, true)
+	}
+	extra, late := topics[routeCacheShardMax], topics[routeCacheShardMax+1]
+	rc.store(extra, 1, subs, nil, true)
+	if rc.lookup(extra, 1) != nil {
+		t.Fatal("a full shard with no stale entries admitted a new topic")
+	}
+	if n := testing.AllocsPerRun(100, func() { rc.store(late, 1, subs, nil, true) }); n != 0 {
+		t.Fatalf("miss on a full shard allocates %.1f/op, want 0", n)
+	}
+
+	// Epoch 2: ten old topics are republished, so the rest are stale.
+	for _, topic := range topics[:10] {
+		rc.store(topic, 2, subs, nil, true)
+	}
+	rc.store(late, 2, subs, nil, true)
+	if v := rc.lookup(late, 2); v == nil || len(v.subs) != 1 {
+		t.Fatalf("after an epoch swap the full shard did not admit a new topic: %+v", v)
+	}
+	if n := len(*rc.shards[0].m.Load()); n != 11 {
+		t.Fatalf("shard holds %d entries after eviction, want the 10 live ones plus the new topic", n)
+	}
+}
+
+// TestPublishMissOnFullShardAllocatesNothing: once a shard is full of live
+// topics and the topic counters have overflowed, a publish to yet another
+// topic of that shard costs routing only.
+func TestPublishMissOnFullShardAllocatesNothing(t *testing.T) {
+	b := New(Options{})
+	defer b.Close()
+	topics := shardTopics("dev", routeCacheShardMax+1)
+	for _, topic := range topics {
+		b.Publish(topic, []byte("v"), wire.QoS0, false)
+	}
+	p := &wire.PublishPacket{Topic: topics[routeCacheShardMax], Payload: []byte("v")}
+	if n := testing.AllocsPerRun(100, func() { b.publish(p, "pub") }); n != 0 {
+		t.Fatalf("publish missing a full route-cache shard allocates %.1f/op, want 0", n)
+	}
+}
+
+// TestSubackFollowsRouteSwap: a client that has read SUBACK may publish at
+// once and expects the message back, so SUBACK is queued only once the new
+// route snapshot is in place. A publish read section held open keeps the
+// swap waiting, and no SUBACK may appear meanwhile.
+func TestSubackFollowsRouteSwap(t *testing.T) {
+	b := New(Options{})
+	defer b.Close()
+	s := newSession("c", false)
+	b.mu.Lock()
+	b.sessions["c"] = s
+	b.mu.Unlock()
+	ch, _, _ := s.attach(4)
+
+	sh := b.gate.enter() // a publish in flight against the old snapshot
+	var exitOnce sync.Once
+	exit := func() { exitOnce.Do(func() { b.gate.exit(sh) }) }
+	defer exit() // before Close, which waits for the subscribe to finish
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		b.handleSubscribe(s, &wire.SubscribePacket{PacketID: 1,
+			Subscriptions: []wire.Subscription{{TopicFilter: "s/t", QoS: wire.QoS0}}})
+	}()
+	select {
+	case op := <-ch:
+		t.Fatalf("%v queued while the route swap still waits for an in-flight publish", op.pkt.Type())
+	case <-time.After(100 * time.Millisecond):
+	}
+	exit()
+	<-done
+	select {
+	case op := <-ch:
+		if op.pkt == nil || op.pkt.Type() != wire.SUBACK {
+			t.Fatalf("queued %+v, want SUBACK", op)
+		}
+	default:
+		t.Fatal("no SUBACK after the route swap")
+	}
+	mb := getMatchBuf()
+	defer mb.release()
+	if len(b.routes.Load().match("s/t", mb)) != 1 {
+		t.Fatal("subscription missing from the routes")
+	}
+}

@@ -76,6 +76,31 @@ func TestBrokerPerTopicCardinalityBounded(t *testing.T) {
 	}
 }
 
+// TestOverflowTopicCounterSkipsWriteLock: once the per-topic counters are
+// full, resolving a new topic's counter finds the overflow bucket under the
+// read lock, so a route-cache miss never waits for pubMu's write lock.
+func TestOverflowTopicCounterSkipsWriteLock(t *testing.T) {
+	b := New(Options{})
+	defer b.Close()
+	for i := 0; i <= maxPublishTopics; i++ {
+		b.Publish("flood/"+strconv.Itoa(i), []byte("x"), wire.QoS0, false)
+	}
+	overflow := b.topicCounter("flood/next")
+
+	b.pubMu.RLock()
+	defer b.pubMu.RUnlock()
+	done := make(chan *topicCount, 1)
+	go func() { done <- b.topicCounter("flood/later") }()
+	select {
+	case tc := <-done:
+		if tc != overflow {
+			t.Fatal("an overflowed topic did not resolve to the overflow counter")
+		}
+	case <-time.After(2 * time.Second):
+		t.Fatal("topicCounter took pubMu's write lock for an overflowed topic")
+	}
+}
+
 // TestRetainedStoreRouteAtomic drives a stream of monotonically increasing
 // retained publishes while other clients repeatedly subscribe. Because
 // store+route happen under one broker lock, each subscriber's message

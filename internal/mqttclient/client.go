@@ -5,6 +5,7 @@
 package mqttclient
 
 import (
+	"bufio"
 	"errors"
 	"fmt"
 	"net"
@@ -180,6 +181,7 @@ func (r *HandlerRegistration) Remove() {
 type Client struct {
 	opts Options
 	conn net.Conn
+	r    *bufio.Reader // conn's only reader, from CONNACK on
 
 	writeMu sync.Mutex // serializes packet writes
 
@@ -248,8 +250,12 @@ func Connect(conn net.Conn, opts Options) (*Client, error) {
 	if err := wire.WritePacket(conn, connect); err != nil {
 		return nil, fmt.Errorf("mqttclient connect: %w", err)
 	}
+	// The reader that takes CONNACK (4 KiB: one read syscall takes in
+	// every frame that has arrived) serves the whole connection, as a
+	// retained message can arrive in the same segment.
+	r := bufio.NewReader(conn)
 	_ = conn.SetReadDeadline(time.Now().Add(opts.AckTimeout))
-	pkt, err := wire.ReadPacket(conn, opts.MaxPacketSize)
+	pkt, err := wire.ReadPacket(r, opts.MaxPacketSize)
 	if err != nil {
 		return nil, fmt.Errorf("mqttclient connack: %w", err)
 	}
@@ -265,6 +271,7 @@ func Connect(conn net.Conn, opts Options) (*Client, error) {
 	c := &Client{
 		opts:      opts,
 		conn:      conn,
+		r:         r,
 		pending:   make(map[uint16]chan wire.Packet),
 		laneDrops: make(map[string]*atomic.Int64),
 		dispatch:  make(chan Message, opts.DispatchBuffer),
@@ -533,7 +540,7 @@ func (c *Client) readLoop() {
 	defer c.wg.Done()
 	var readErr error
 	for {
-		pkt, err := wire.ReadPacket(c.conn, c.opts.MaxPacketSize)
+		pkt, err := wire.ReadPacket(c.r, c.opts.MaxPacketSize)
 		if err != nil {
 			readErr = err
 			break

@@ -2,7 +2,9 @@ package mqttclient
 
 import (
 	"errors"
+	"io"
 	"net"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -217,4 +219,60 @@ func TestClientInboundQoS1IsAcked(t *testing.T) {
 		time.Sleep(5 * time.Millisecond)
 	}
 	t.Fatal("delivery not accounted")
+}
+
+// readCountConn counts the Read calls that returned data.
+type readCountConn struct {
+	net.Conn
+	reads atomic.Int64
+}
+
+func (c *readCountConn) Read(p []byte) (int, error) {
+	n, err := c.Conn.Read(p)
+	if n > 0 {
+		c.reads.Add(1)
+	}
+	return n, err
+}
+
+// TestClientKeepsPublishSentWithConnack: a broker may send a retained
+// message in the same segment as CONNACK. The reader that took CONNACK
+// must hand the rest to the read loop, so the message is delivered, and
+// both packets come in with one read.
+func TestClientKeepsPublishSentWithConnack(t *testing.T) {
+	client, server := net.Pipe()
+	defer server.Close()
+	go func() {
+		if _, err := wire.ReadPacket(server, 0); err != nil { // CONNECT
+			return
+		}
+		seg, _ := wire.AppendEncode(nil, &wire.ConnackPacket{Code: wire.ConnAccepted})
+		seg, _ = wire.AppendEncode(seg, &wire.PublishPacket{Topic: "r/t", Payload: []byte("kept"), Retain: true})
+		if _, err := server.Write(seg); err != nil {
+			return
+		}
+		_, _ = io.Copy(io.Discard, server) // DISCONNECT at Close
+	}()
+
+	conn := &readCountConn{Conn: client}
+	got := make(chan Message, 1)
+	opts := NewOptions("c")
+	opts.KeepAlive = 0
+	opts.DefaultHandler = func(m Message) { got <- m }
+	c, err := Connect(conn, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	select {
+	case m := <-got:
+		if m.Topic != "r/t" || string(m.Payload) != "kept" || !m.Retain {
+			t.Fatalf("delivered %+v, want the retained r/t=kept", m)
+		}
+	case <-time.After(5 * time.Second):
+		t.Fatal("the PUBLISH that arrived with CONNACK was never delivered")
+	}
+	if n := conn.reads.Load(); n != 1 {
+		t.Fatalf("client made %d reads for CONNACK and PUBLISH in one segment, want 1", n)
+	}
 }

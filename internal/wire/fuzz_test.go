@@ -1,8 +1,12 @@
 package wire
 
 import (
+	"bufio"
 	"bytes"
+	"io"
+	"reflect"
 	"testing"
+	"testing/iotest"
 )
 
 // FuzzReadPacket hammers the packet reader with arbitrary bytes: it must
@@ -32,6 +36,14 @@ func FuzzReadPacket(f *testing.F) {
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		pkt, err := ReadPacket(bytes.NewReader(data), 1<<16)
+		// An unbuffered reader and a connection's bufio.Reader must decode
+		// the same bytes to the same packet.
+		for _, r := range []io.Reader{iotest.OneByteReader(bytes.NewReader(data)), bufio.NewReaderSize(bytes.NewReader(data), 16)} {
+			other, otherErr := ReadPacket(r, 1<<16)
+			if (err == nil) != (otherErr == nil) || (err == nil && !reflect.DeepEqual(pkt, other)) {
+				t.Fatalf("%T decoded %v, %v; bytes.Reader decoded %v, %v", r, other, otherErr, pkt, err)
+			}
+		}
 		if err != nil {
 			return
 		}

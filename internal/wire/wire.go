@@ -312,18 +312,28 @@ func AppendEncodePublish(dst []byte, topic string, payload []byte) ([]byte, erro
 // ReadPacket reads and decodes exactly one packet from r. maxSize bounds the
 // remaining length to defend against hostile peers; pass 0 for the protocol
 // maximum.
+//
+// The fixed header is read a byte at a time, through r's own ReadByte when
+// r is an io.ByteReader. Connections pass a bufio.Reader that lives as long
+// as the connection, so one read syscall serves every frame that arrived
+// in it; a fresh reader per call would drop the bytes it buffered past the
+// packet it returned.
 func ReadPacket(r io.Reader, maxSize int) (Packet, error) {
 	if maxSize <= 0 || maxSize > MaxRemainingLength {
 		maxSize = MaxRemainingLength
 	}
-	var first [1]byte
-	if _, err := io.ReadFull(r, first[:]); err != nil {
+	br, ok := r.(io.ByteReader)
+	if !ok {
+		br = &byteReader{r: r}
+	}
+	first, err := br.ReadByte()
+	if err != nil {
 		return nil, err
 	}
-	pt := PacketType(first[0] >> 4)
-	flags := first[0] & 0x0F
+	pt := PacketType(first >> 4)
+	flags := first & 0x0F
 
-	remaining, err := readRemainingLength(r)
+	remaining, err := readRemainingLength(br)
 	if err != nil {
 		return nil, err
 	}
@@ -775,23 +785,34 @@ func appendRemainingLength(b []byte, n int) []byte {
 	}
 }
 
-func readRemainingLength(r io.Reader) (int, error) {
-	var (
-		value      int
-		multiplier = 1
-		buf        [1]byte
-	)
+func readRemainingLength(r io.ByteReader) (int, error) {
+	value, multiplier := 0, 1
 	for i := 0; i < 4; i++ {
-		if _, err := io.ReadFull(r, buf[:]); err != nil {
+		b, err := r.ReadByte()
+		if err != nil {
 			return 0, err
 		}
-		value += int(buf[0]&0x7F) * multiplier
-		if buf[0]&0x80 == 0 {
+		value += int(b&0x7F) * multiplier
+		if b&0x80 == 0 {
 			return value, nil
 		}
 		multiplier *= 128
 	}
 	return 0, fmt.Errorf("%w: remaining length exceeds 4 bytes", ErrMalformedPacket)
+}
+
+// byteReader gives an unbuffered io.Reader the ReadByte the fixed-header
+// decoder uses; each call is one Read of one byte.
+type byteReader struct {
+	r   io.Reader
+	buf [1]byte
+}
+
+func (b *byteReader) ReadByte() (byte, error) {
+	if _, err := io.ReadFull(b.r, b.buf[:]); err != nil {
+		return 0, err
+	}
+	return b.buf[0], nil
 }
 
 type reader struct {

@@ -1,11 +1,13 @@
 package wire
 
 import (
+	"bufio"
 	"bytes"
 	"errors"
 	"io"
 	"reflect"
 	"testing"
+	"testing/iotest"
 	"testing/quick"
 )
 
@@ -201,6 +203,85 @@ func TestReadPacketTruncated(t *testing.T) {
 		if err == nil {
 			t.Fatalf("ReadPacket succeeded on %d/%d-byte truncation", cut, len(data))
 		}
+	}
+}
+
+// TestReadPacketStream decodes a stream of mixed packets, one of them
+// larger than a bufio.Reader's buffer, from a source that returns one byte
+// per Read: directly, and through buffered readers that carry bytes over
+// from one packet to the next.
+func TestReadPacketStream(t *testing.T) {
+	packets := []Packet{
+		&ConnectPacket{ClientID: "c", CleanSession: true, KeepAlive: 10},
+		&SubscribePacket{PacketID: 1, Subscriptions: []Subscription{{TopicFilter: "a/#", QoS: QoS1}}},
+		&PublishPacket{Topic: "a/big", Payload: bytes.Repeat([]byte("x"), 5000)},
+		&PingreqPacket{},
+		&PublishPacket{Topic: "a/b", Payload: []byte("small"), QoS: QoS1, PacketID: 7},
+		&AckPacket{PacketType: PUBACK, PacketID: 7},
+		&DisconnectPacket{},
+	}
+	var stream []byte
+	for _, p := range packets {
+		var err error
+		if stream, err = AppendEncode(stream, p); err != nil {
+			t.Fatal(err)
+		}
+	}
+	readers := map[string]func() io.Reader{
+		"one-byte":           func() io.Reader { return iotest.OneByteReader(bytes.NewReader(stream)) },
+		"bufio/one-byte":     func() io.Reader { return bufio.NewReader(iotest.OneByteReader(bytes.NewReader(stream))) },
+		"bufio16/one-byte":   func() io.Reader { return bufio.NewReaderSize(iotest.OneByteReader(bytes.NewReader(stream)), 16) },
+		"bufio/whole-stream": func() io.Reader { return bufio.NewReader(bytes.NewReader(stream)) },
+	}
+	for name, mk := range readers {
+		r := mk()
+		for i, want := range packets {
+			got, err := ReadPacket(r, 0)
+			if err != nil {
+				t.Fatalf("%s: packet %d (%v): %v", name, i, want.Type(), err)
+			}
+			wantB, _ := Encode(want)
+			gotB, err := Encode(got)
+			if err != nil || !bytes.Equal(gotB, wantB) {
+				t.Fatalf("%s: packet %d decoded as %+v, want %+v", name, i, got, want)
+			}
+		}
+		if _, err := ReadPacket(r, 0); !errors.Is(err, io.EOF) {
+			t.Fatalf("%s: after the stream err = %v, want io.EOF", name, err)
+		}
+	}
+}
+
+// readCounter counts Read calls on a reader that also offers ReadByte.
+type readCounter struct {
+	*bytes.Reader
+	reads int
+}
+
+func (r *readCounter) Read(p []byte) (int, error) {
+	r.reads++
+	return r.Reader.Read(p)
+}
+
+// TestReadPacketTakesHeaderThroughReadByte: given an io.ByteReader, the
+// fixed header costs no Read call, leaving one Read per packet body.
+func TestReadPacketTakesHeaderThroughReadByte(t *testing.T) {
+	var stream []byte
+	const n = 5
+	for i := 0; i < n; i++ {
+		var err error
+		if stream, err = AppendEncodePublish(stream, "a/b", []byte("payload")); err != nil {
+			t.Fatal(err)
+		}
+	}
+	r := &readCounter{Reader: bytes.NewReader(stream)}
+	for i := 0; i < n; i++ {
+		if _, err := ReadPacket(r, 0); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if r.reads != n {
+		t.Fatalf("%d Read calls for %d packets, want one per body", r.reads, n)
 	}
 }
 
